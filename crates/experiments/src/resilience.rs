@@ -13,6 +13,13 @@
 //!    process's fd count holding below the `RLIMIT_NOFILE` reserve
 //!    watermark throughout.
 //!
+//!    The goodput floor is a wall-clock ratio, so it only gates `repro
+//!    resilience`. The tier-1 smoke test asserts the count-based checks
+//!    alone (`count_checks`): zero well-behaved client errors, each
+//!    attack ended by its expected [`obs::EndCause`], the fd watermark, and
+//!    the policy sweep's reset counts. Counts do not move when sibling tests
+//!    compete for the CPU; a rate does.
+//!
 //! 2. **Policy, not architecture.** The paper's Fig 3 contrast — httpd2
 //!    streams connection resets, nio reports zero errors — is an idle-
 //!    timeout *policy* difference. The sweep runs the same `nioserver`
@@ -49,6 +56,8 @@ pub struct ResilienceRun {
     pub peak_fds: u64,
     /// Well-behaved client errors during the attacked window.
     pub well_behaved_errors: u64,
+    /// Server-side connection ends by cause during the attacked window.
+    pub ends: obs::EndTally,
 }
 
 impl ResilienceRun {
@@ -188,6 +197,13 @@ impl Server {
         }
     }
 
+    fn ends(&self) -> Arc<obs::LiveEnds> {
+        match self {
+            Server::Nio(s) => s.ends(),
+            Server::Pool(s) => s.ends(),
+        }
+    }
+
     fn shutdown(self) {
         match self {
             Server::Nio(s) => s.shutdown(),
@@ -196,14 +212,29 @@ impl Server {
     }
 }
 
-/// Run one attack concurrently with a well-behaved load and sample the
-/// process's fd peak while both run.
+/// The server-side end cause each attack must provoke, or `None` when the
+/// attack is only to be survived. Never-reads is disposed of by both
+/// architectures — the pool arms `SO_SNDTIMEO` from the same
+/// `write_stall_timeout` the event server enforces in its selector. Idle
+/// floods are disposed of by the event server's idle deadline; the pool's
+/// 32 threads simply hold them.
+fn expected_end(attack: &str, arch: &str) -> Option<obs::EndCause> {
+    match attack {
+        "slow-loris" | "byte-drip" => Some(obs::EndCause::HeaderTimeout),
+        "never-reads" => Some(obs::EndCause::WriteStall),
+        "idle-flood" if arch.starts_with("nio") => Some(obs::EndCause::IdleTimeout),
+        _ => None,
+    }
+}
+
+/// Run one attack concurrently with a well-behaved load; sample the
+/// process's fd peak while both run and tally the server's connection ends.
 fn attacked_phase(
     server: &Server,
     files: &FileSet,
     kind: AttackKind,
     duration: Duration,
-) -> (loadgen::LoadReport, AttackReport, u64) {
+) -> (loadgen::LoadReport, AttackReport, u64, obs::EndTally) {
     let mut attack = AttackConfig::new(server.addr(), kind);
     attack.conns = match kind {
         // Holder attacks press on fds/admission with population, the
@@ -231,6 +262,7 @@ fn attacked_phase(
             }
         })
     };
+    let ends_before = server.ends().snapshot();
     let attacker = std::thread::spawn(move || run_attack(&attack));
     // Let the attack establish before measuring goodput.
     std::thread::sleep(Duration::from_millis(200));
@@ -238,7 +270,12 @@ fn attacked_phase(
     let attack_report = attacker.join().expect("attack thread");
     stop.store(true, Ordering::Relaxed);
     let _ = fd_sampler.join();
-    (load, attack_report, peak.load(Ordering::Relaxed))
+    let ends_after = server.ends().snapshot();
+    let mut ends = obs::EndTally::new();
+    for cause in obs::EndCause::ALL {
+        ends.add(cause, ends_after.get(cause) - ends_before.get(cause));
+    }
+    (load, attack_report, peak.load(Ordering::Relaxed), ends)
 }
 
 /// The survival table: both architectures × every attack kind.
@@ -257,7 +294,7 @@ fn run_survival(files: &FileSet, smoke: bool) -> Vec<ResilienceRun> {
             // scheduler-noisy; a marginal miss gets one re-measure and the
             // better of the two stands. A real starvation bug fails both.
             for _ in 0..2 {
-                let (load, attack_report, peak_fds) =
+                let (load, attack_report, peak_fds, ends) =
                     attacked_phase(&server, files, kind, duration);
                 let run = ResilienceRun {
                     arch: server.label().to_string(),
@@ -267,6 +304,7 @@ fn run_survival(files: &FileSet, smoke: bool) -> Vec<ResilienceRun> {
                     attack_report,
                     peak_fds,
                     well_behaved_errors: count_errors(&load),
+                    ends,
                 };
                 let good = run.goodput_ratio() >= GOODPUT_FLOOR;
                 if best.as_ref().is_none_or(|b| run.goodput_ratio() > b.goodput_ratio()) {
@@ -354,47 +392,73 @@ pub fn run_resilience(smoke: bool) -> ResilienceReport {
     let files = resilience_files();
     let runs = run_survival(&files, smoke);
     let sweep = run_sweep(&files, smoke);
-    let checks = resilience_checks(&runs, &sweep);
+    let mut checks = goodput_checks(&runs);
+    checks.extend(count_checks(&runs, &sweep));
     ResilienceReport { runs, sweep, checks }
 }
 
-fn resilience_checks(runs: &[ResilienceRun], sweep: &[PolicyRun]) -> Vec<Check> {
+/// The wall-clock bar: attacked goodput at or above [`GOODPUT_FLOOR`] of
+/// the no-attack baseline.
+fn goodput_checks(runs: &[ResilienceRun]) -> Vec<Check> {
+    runs.iter()
+        .map(|r| {
+            Check::new(
+                &format!(
+                    "{}/{}: goodput \u{2265} {:.0}% of baseline",
+                    r.arch,
+                    r.attack,
+                    GOODPUT_FLOOR * 100.0
+                ),
+                r.goodput_ratio() >= GOODPUT_FLOOR,
+                format!(
+                    "baseline {:.0} rps, attacked {:.0} rps ({:.0}%)",
+                    r.baseline_rps,
+                    r.attacked_rps,
+                    r.goodput_ratio() * 100.0
+                ),
+            )
+        })
+        .collect()
+}
+
+/// Every check that counts events rather than timing them: none depends on
+/// how fast the host ran the window.
+fn count_checks(runs: &[ResilienceRun], sweep: &[PolicyRun]) -> Vec<Check> {
     let mut out = Vec::new();
     let fd_limit = rlimit_nofile();
     for r in runs {
         out.push(Check::new(
-            &format!("{}/{}: goodput \u{2265} {:.0}% of baseline", r.arch, r.attack, GOODPUT_FLOOR * 100.0),
-            r.goodput_ratio() >= GOODPUT_FLOOR,
-            format!(
-                "baseline {:.0} rps, attacked {:.0} rps ({:.0}%)",
-                r.baseline_rps,
-                r.attacked_rps,
-                r.goodput_ratio() * 100.0
+            &format!(
+                "{}/{}: well-behaved clients see no errors",
+                r.arch, r.attack
             ),
+            r.well_behaved_errors == 0,
+            format!("{} errors", r.well_behaved_errors),
         ));
+        // The deadlines actually fire: each dribbling attack is disposed
+        // of by the right deadline (server-side tally) and its clients see
+        // the disposal, not merely outlasted.
+        if let Some(cause) = expected_end(&r.attack, &r.arch) {
+            out.push(Check::new(
+                &format!(
+                    "{}/{}: adversaries ended by {}",
+                    r.arch,
+                    r.attack,
+                    cause.label()
+                ),
+                r.ends.get(cause) > 0 && r.attack_report.disposed() > 0,
+                format!(
+                    "server ends {:?}; clients {:?}",
+                    r.ends.rows(),
+                    r.attack_report
+                ),
+            ));
+        }
         out.push(Check::new(
             &format!("{}/{}: fds stay below the reserve watermark", r.arch, r.attack),
             r.peak_fds + hardened().fd_reserve < fd_limit,
             format!("peak {} fds, limit {}", r.peak_fds, fd_limit),
         ));
-    }
-    // The deadlines actually fire: each dribbling attack is disposed of,
-    // not merely outlasted. Never-reads is now disposed by both
-    // architectures — the pool arms `SO_SNDTIMEO` from the same
-    // `write_stall_timeout` the event server enforces in its selector.
-    for r in runs {
-        let must_dispose = match r.attack.as_str() {
-            "slow-loris" | "byte-drip" | "never-reads" => true,
-            "idle-flood" => r.arch.starts_with("nio"),
-            _ => false,
-        };
-        if must_dispose {
-            out.push(Check::new(
-                &format!("{}/{}: adversaries are disposed of", r.arch, r.attack),
-                r.attack_report.disposed() > 0,
-                format!("{:?}", r.attack_report),
-            ));
-        }
     }
     // Loris dribblers get an HTTP answer, not a silent drop, from both
     // architectures.
@@ -496,15 +560,19 @@ pub fn render_resilience(report: &ResilienceReport) -> String {
 mod tests {
     use super::*;
 
+    /// Tier-1 gates on the count-based checks only; the goodput floor is a
+    /// rate, which sibling tests sharing the CPU can push under 80 % with no
+    /// code change. `repro resilience` still enforces it.
     #[test]
     fn smoke_harness_passes_its_own_checks() {
         let report = run_resilience(true);
         assert_eq!(report.runs.len(), 10, "5 attacks x 2 archs");
         assert_eq!(report.sweep.len(), 3, "3 policy rows");
+        let checks = count_checks(&report.runs, &report.sweep);
         assert!(
-            report.checks.iter().all(|c| c.pass),
+            checks.iter().all(|c| c.pass),
             "{}",
-            crate::render_checks(&report.checks)
+            crate::render_checks(&checks)
         );
     }
 
@@ -521,6 +589,7 @@ mod tests {
                 attack_report: AttackReport::default(),
                 peak_fds: 42,
                 well_behaved_errors: 0,
+                ends: obs::EndTally::new(),
             }],
             sweep: vec![PolicyRun {
                 policy: "no-timeout".into(),

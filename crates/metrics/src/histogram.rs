@@ -3,9 +3,12 @@
 //! An HDR-style histogram over `u64` values: buckets are arranged in
 //! power-of-two magnitude bands, each band split into `1 << precision_bits`
 //! linear sub-buckets, giving a bounded relative error of
-//! `2^-precision_bits` across the whole range while using a few KiB of
-//! memory. Recording is O(1) (a leading-zeros instruction plus a shift);
-//! quantile queries walk the bucket array once.
+//! `2^-precision_bits` across the whole range. The full range is 58 bands
+//! (58 KiB of counts at the default precision), but the count array only
+//! grows to the highest band actually recorded: an empty histogram
+//! allocates nothing, and nanosecond latencies up to ~1 ms need 14 bands
+//! (14 KiB). Recording is O(1) (a leading-zeros instruction plus a shift,
+//! and a rare grow); quantile queries walk the bucket array once.
 
 /// A fixed-precision log-bucketed histogram over `u64` values.
 #[derive(Debug, Clone)]
@@ -13,6 +16,7 @@ pub struct Histogram {
     /// Sub-bucket count per magnitude band, always a power of two.
     sub_buckets: u64,
     precision_bits: u32,
+    /// Whole bands only, up to the highest band recorded so far.
     counts: Vec<u64>,
     total: u64,
     sum: u128,
@@ -28,15 +32,13 @@ impl Histogram {
             (1..=14).contains(&precision_bits),
             "precision_bits must be in 1..=14"
         );
-        let sub_buckets = 1u64 << precision_bits;
         // Bands: values < sub_buckets land in the linear band 0; each further
-        // doubling adds one band of `sub_buckets/2` distinct buckets... we use
-        // the simple scheme of (64 - precision) bands × sub_buckets entries.
-        let bands = (64 - precision_bits) as usize + 1;
+        // doubling adds one band of `sub_buckets` entries, up to
+        // (64 - precision) + 1 bands. None is allocated until recorded into.
         Histogram {
-            sub_buckets,
+            sub_buckets: 1u64 << precision_bits,
             precision_bits,
-            counts: vec![0; bands * sub_buckets as usize],
+            counts: Vec::new(),
             total: 0,
             sum: 0,
             min: u64::MAX,
@@ -74,6 +76,13 @@ impl Histogram {
         }
     }
 
+    /// Extend `counts` with zeroed bands through the one holding `index`.
+    #[cold]
+    fn grow_to(&mut self, index: usize) {
+        let band_len = self.sub_buckets as usize;
+        self.counts.resize((index / band_len + 1) * band_len, 0);
+    }
+
     /// Record one observation.
     #[inline]
     pub fn record(&mut self, value: u64) {
@@ -86,6 +95,9 @@ impl Histogram {
             return;
         }
         let idx = self.index_of(value);
+        if idx >= self.counts.len() {
+            self.grow_to(idx);
+        }
         self.counts[idx] += n;
         self.total += n;
         self.sum += value as u128 * n as u128;
@@ -163,6 +175,9 @@ impl Histogram {
             self.precision_bits, other.precision_bits,
             "histogram precision mismatch"
         );
+        if other.counts.len() > self.counts.len() {
+            self.counts.resize(other.counts.len(), 0);
+        }
         for (a, &b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -288,6 +303,57 @@ mod tests {
         h.record(7);
         assert_eq!(h.count(), 1);
         assert_eq!(h.min(), 7);
+    }
+
+    #[test]
+    fn counts_grow_by_whole_bands_only_when_recorded() {
+        let mut h = Histogram::default_precision();
+        assert_eq!(h.counts.capacity(), 0, "new must not allocate");
+        h.record(100); // band 0
+        assert_eq!(h.counts.len(), 128);
+        h.record(1_000_000); // ~1 ms in ns: band 13
+        assert_eq!(h.counts.len(), 14 * 128);
+        h.record(5); // lower bands never shrink or regrow the array
+        assert_eq!(h.counts.len(), 14 * 128);
+        h.clear();
+        assert_eq!(h.counts.len(), 14 * 128, "clear keeps the allocation");
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn merge_across_lengths_matches_recording_into_one() {
+        let values = [3u64, 90, 4_000, 77_777, 1_000_000, 250_000_000];
+        let mut one = Histogram::default_precision();
+        values.iter().for_each(|&v| one.record(v));
+        // Short into long, long into short, and into an empty histogram.
+        let mut short = Histogram::default_precision();
+        let mut long = Histogram::default_precision();
+        values[..2].iter().for_each(|&v| short.record(v));
+        values[2..].iter().for_each(|&v| long.record(v));
+        let mut a = short.clone();
+        a.merge(&long);
+        let mut b = long.clone();
+        b.merge(&short);
+        let mut c = Histogram::default_precision();
+        c.merge(&a);
+        for h in [&a, &b, &c] {
+            assert_eq!(h.count(), one.count());
+            assert_eq!(
+                (h.min(), h.max(), h.mean()),
+                (one.min(), one.max(), one.mean())
+            );
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                assert_eq!(h.quantile(q), one.quantile(q), "q={q}");
+            }
+        }
+        assert_eq!(a.counts, one.counts);
+        assert_eq!(b.counts, one.counts);
+        // Merging an empty histogram changes nothing and allocates nothing.
+        let mut empty = Histogram::default_precision();
+        empty.merge(&Histogram::default_precision());
+        assert_eq!(empty.counts.capacity(), 0);
+        a.merge(&Histogram::default_precision());
+        assert_eq!(a.quantile(0.5), one.quantile(0.5));
     }
 
     #[test]

@@ -53,7 +53,7 @@ use httpcore::{
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Stage, StageHists};
 use parking_lot::Mutex;
 use reactor::backend::{Backend, Cqe, CqeKind, SubmitError};
-use reactor::{DeadlineWheel, Interest, Token, Waker};
+use reactor::{DeadlineWheel, EpollSelector, Interest, Selector, Token, Waker};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd};
@@ -217,6 +217,8 @@ pub struct NioServer {
     shards: Arc<ShardGauges>,
     hists: Arc<Mutex<StageHists>>,
     links: Arc<Links>,
+    /// Handoff mode: wakes the acceptor out of its blocking wait.
+    acceptor_waker: Option<Arc<Waker>>,
     next_link_id: AtomicU64,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
@@ -236,6 +238,10 @@ impl NioServer {
             }
             AcceptMode::Sharded => bind_reuseport(None)?,
         };
+        let acceptor_waker = match config.accept {
+            AcceptMode::Handoff => Some(Arc::new(Waker::new()?)),
+            AcceptMode::Sharded => None,
+        };
         let server = NioServer {
             addr,
             config: config.clone(),
@@ -246,6 +252,7 @@ impl NioServer {
             shards: Arc::new(ShardGauges::new()),
             hists: Arc::new(Mutex::new(StageHists::new())),
             links: Arc::new(Links::default()),
+            acceptor_waker,
             next_link_id: AtomicU64::new(0),
             threads: Mutex::new(Vec::new()),
         };
@@ -259,12 +266,19 @@ impl NioServer {
                 let gauges = Arc::clone(&server.gauges);
                 let ends = Arc::clone(&server.ends);
                 let links = Arc::clone(&server.links);
+                let waker = Arc::clone(server.acceptor_waker.as_ref().expect("handoff waker"));
+                // The acceptor's own wait set: its waker always, the
+                // listener whenever it is accepting.
+                let mut selector = EpollSelector::new()?;
+                selector.register(waker.read_fd(), WAKER_TOKEN, Interest::READABLE)?;
                 let cfg = config;
                 server.threads.lock().push(
                     std::thread::Builder::new()
                         .name("nio-acceptor".to_string())
                         .spawn(move || {
-                            acceptor_loop(cfg, listener, links, ctl, stats, gauges, ends)
+                            acceptor_loop(
+                                cfg, listener, selector, waker, links, ctl, stats, gauges, ends,
+                            )
                         })
                         .expect("spawn acceptor"),
                 );
@@ -363,13 +377,17 @@ impl NioServer {
         Arc::clone(&self.hists)
     }
 
-    fn wake_workers(&self) {
+    /// Poke every thread out of its wait so it re-reads the control flags.
+    fn wake_all(&self) {
         self.links.wake_all();
+        if let Some(w) = &self.acceptor_waker {
+            w.wake();
+        }
     }
 
     fn stop_and_join(&self) {
         self.ctl.stop.store(true, Ordering::SeqCst);
-        self.wake_workers();
+        self.wake_all();
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for t in handles {
             let _ = t.join();
@@ -388,7 +406,7 @@ impl NioServer {
     pub fn shutdown_graceful(self, deadline: Duration) -> DrainReport {
         *self.ctl.drain_deadline.lock() = Some(Instant::now() + deadline);
         self.ctl.draining.store(true, Ordering::SeqCst);
-        self.wake_workers();
+        self.wake_all();
         let handles: Vec<_> = self.threads.lock().drain(..).collect();
         for t in handles {
             let _ = t.join();
@@ -409,10 +427,11 @@ impl Drop for NioServer {
 impl faults::FaultTarget for NioServer {
     fn stall_accepts(&self, on: bool) {
         self.ctl.accepts_stalled.store(on, Ordering::SeqCst);
-        // Sharded workers only reconcile listener registration at the top
-        // of a loop pass; poke them out of `select()` so the stall (and
-        // the recovery) takes effect now, not up to a select-ceiling later.
-        self.wake_workers();
+        // The acceptor and sharded workers only reconcile listener
+        // registration at the top of a loop pass; poke them out of their
+        // wait so the stall (and the recovery) takes effect now — the
+        // acceptor's wait has no ceiling at all.
+        self.wake_all();
     }
 
     fn crash_worker(&self) -> bool {
@@ -420,7 +439,7 @@ impl faults::FaultTarget for NioServer {
             return false;
         }
         self.ctl.crash_tokens.fetch_add(1, Ordering::SeqCst);
-        self.wake_workers();
+        self.links.wake_all();
         true
     }
 
@@ -506,22 +525,36 @@ fn admit_stream(
 /// path routes over a private snapshot of the worker links; the shared list
 /// is only re-read when its epoch moves (spawn/crash), so a steady-state
 /// accept touches no lock at all.
+///
+/// Between bursts the thread blocks in `selector`, its own epoll wait on the
+/// listener and `waker` — the `accept(2)`-blocking acceptor of the paper's
+/// server, with a wake-up path. `stop`, `shutdown_graceful` and `stall_accepts`
+/// poke `waker`; nothing else wakes the thread. During a stall or an fd
+/// backoff the listener is deregistered (a level-triggered wait would spin
+/// on its pending connections), so the thread waits on the waker alone, or
+/// until the backoff ends.
+#[allow(clippy::too_many_arguments)]
 fn acceptor_loop(
     cfg: NioConfig,
     listener: TcpListener,
+    mut selector: EpollSelector,
+    waker: Arc<Waker>,
     links: Arc<Links>,
     ctl: Arc<NioCtl>,
     stats: Arc<NioStats>,
     gauges: Arc<LiveGauges>,
     ends: Arc<LiveEnds>,
 ) {
-    let mut next = 0usize;
+    const LISTENER: Token = Token(1);
+    let mut events = Vec::new();
+    let mut listening = false;
+    let mut router = Router::new(links);
     let fd_limit = rlimit_nofile();
-    let (mut seen_epoch, mut snapshot) = links.snapshot();
     // EMFILE/ENFILE backoff: start at 1 ms, double up to 100 ms. A fixed
-    // 1 ms sleep under fd exhaustion is a busy loop that starves the very
+    // 1 ms pause under fd exhaustion is a busy loop that starves the very
     // teardowns that would free fds.
     let mut exhaustion_backoff = Duration::from_millis(1);
+    let mut resume_at: Option<Instant> = None;
     // Refusal plumbing: one reused head buffer and a ~1 s date cache, so a
     // storm of 503 refusals at the admission cap allocates nothing.
     let mut refusal_head: Vec<u8> = Vec::new();
@@ -532,86 +565,127 @@ fn acceptor_loop(
             date = httpcore::now_http_date();
             date_refresh = std::time::Instant::now();
         }
+        if resume_at.is_some_and(|t| Instant::now() >= t) {
+            resume_at = None;
+        }
         // Server-stall fault window: the accept path freezes; SYNs queue in
         // the kernel backlog exactly as during a GC pause.
-        if ctl.accepts_stalled.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
+        let want = !ctl.accepts_stalled.load(Ordering::Relaxed) && resume_at.is_none();
+        if want != listening {
+            let fd = listener.as_raw_fd();
+            let _ = if want {
+                selector.register(fd, LISTENER, Interest::READABLE)
+            } else {
+                selector.deregister(fd)
+            };
+            listening = want;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                exhaustion_backoff = Duration::from_millis(1);
-                let Some(stream) = admit_stream(
-                    stream,
-                    &cfg,
-                    fd_limit,
-                    &stats,
-                    &gauges,
-                    &ends,
-                    &mut refusal_head,
-                    &date,
-                ) else {
+        if listening {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    exhaustion_backoff = Duration::from_millis(1);
+                    if let Some(stream) = admit_stream(
+                        stream,
+                        &cfg,
+                        fd_limit,
+                        &stats,
+                        &gauges,
+                        &ends,
+                        &mut refusal_head,
+                        &date,
+                    ) {
+                        router.route(stream, &gauges);
+                    }
                     continue;
-                };
-                // Round-robin across the snapshot. A closed channel means
-                // that worker crashed: delete the dead link from the shared
-                // list, re-snapshot, and re-route to the survivors instead
-                // of taking the whole accept path down.
-                if seen_epoch != links.epoch.load(Ordering::Acquire) {
-                    (seen_epoch, snapshot) = links.snapshot();
                 }
-                gauges.add(GaugeKind::AcceptBacklog, 1);
-                let mut stream = Some(stream);
-                loop {
-                    if snapshot.is_empty() {
-                        // No workers left at all; the connection is lost.
-                        gauges.sub(GaugeKind::AcceptBacklog, 1);
-                        break;
-                    }
-                    let idx = next % snapshot.len();
-                    match snapshot[idx].tx.send(stream.take().expect("stream consumed")) {
-                        Ok(()) => {
-                            snapshot[idx].waker.wake();
-                            next += 1;
-                            break;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => {
+                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    match e.raw_os_error() {
+                        // EINTR / ECONNABORTED: a signal or a peer that hung
+                        // up between SYN and accept — retry immediately,
+                        // nothing is wrong with the listener.
+                        Some(EINTR) | Some(ECONNABORTED) => {}
+                        // EMFILE / ENFILE: fd exhaustion. Pause with
+                        // exponential backoff — teardowns elsewhere will free
+                        // fds; exiting here would silently kill the whole
+                        // accept path.
+                        Some(EMFILE) | Some(ENFILE) => {
+                            ends.record(EndCause::FdReserve);
+                            resume_at = Some(Instant::now() + exhaustion_backoff);
+                            exhaustion_backoff =
+                                (exhaustion_backoff * 2).min(Duration::from_millis(100));
                         }
-                        Err(e) => {
-                            stream = Some(e.0);
-                            links.remove(snapshot[idx].id);
-                            (seen_epoch, snapshot) = links.snapshot();
-                        }
+                        _ => resume_at = Some(Instant::now() + Duration::from_millis(1)),
                     }
+                    continue;
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(e) => match e.raw_os_error() {
-                // EINTR / ECONNABORTED: a signal or a peer that hung up
-                // between SYN and accept — retry immediately, nothing is
-                // wrong with the listener.
-                Some(EINTR) | Some(ECONNABORTED) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                // EMFILE / ENFILE: fd exhaustion. Pause-and-retry with
-                // exponential backoff — teardowns elsewhere will free fds;
-                // exiting here would silently kill the whole accept path.
-                Some(EMFILE) | Some(ENFILE) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    ends.record(EndCause::FdReserve);
-                    std::thread::sleep(exhaustion_backoff);
-                    exhaustion_backoff =
-                        (exhaustion_backoff * 2).min(Duration::from_millis(100));
-                }
-                _ => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            },
+        }
+        // Nothing to accept, or not accepting: block until the listener or
+        // the waker fires, or the backoff ends.
+        events.clear();
+        let timeout = resume_at.map(|t| t.saturating_duration_since(Instant::now()));
+        let _ = selector.select(&mut events, timeout);
+        if events.iter().any(|e| e.token == WAKER_TOKEN) {
+            waker.drain();
         }
     }
     // The listener drops here: during a drain, new connection attempts are
     // refused by the kernel from this point on.
+}
+
+/// The acceptor's round-robin over a private snapshot of the worker links,
+/// re-read only when the shared list's epoch moves.
+struct Router {
+    links: Arc<Links>,
+    seen_epoch: u64,
+    snapshot: Arc<Vec<WorkerLink>>,
+    next: usize,
+}
+
+impl Router {
+    fn new(links: Arc<Links>) -> Router {
+        let (seen_epoch, snapshot) = links.snapshot();
+        Router {
+            links,
+            seen_epoch,
+            snapshot,
+            next: 0,
+        }
+    }
+
+    /// Hand an admitted stream to the next worker. A closed channel means
+    /// that worker crashed: delete the dead link from the shared list,
+    /// re-snapshot, and re-route to the survivors instead of taking the
+    /// whole accept path down.
+    fn route(&mut self, stream: TcpStream, gauges: &LiveGauges) {
+        if self.seen_epoch != self.links.epoch.load(Ordering::Acquire) {
+            (self.seen_epoch, self.snapshot) = self.links.snapshot();
+        }
+        gauges.add(GaugeKind::AcceptBacklog, 1);
+        let mut stream = Some(stream);
+        loop {
+            if self.snapshot.is_empty() {
+                // No workers left at all; the connection is lost.
+                gauges.sub(GaugeKind::AcceptBacklog, 1);
+                return;
+            }
+            let link = &self.snapshot[self.next % self.snapshot.len()];
+            match link.tx.send(stream.take().expect("stream consumed")) {
+                Ok(()) => {
+                    link.waker.wake();
+                    self.next += 1;
+                    return;
+                }
+                Err(e) => {
+                    stream = Some(e.0);
+                    self.links.remove(link.id);
+                    (self.seen_epoch, self.snapshot) = self.links.snapshot();
+                }
+            }
+        }
+    }
 }
 
 /// Bind a `SO_REUSEPORT` TCP listener on loopback. `addr: None` picks an
@@ -796,8 +870,9 @@ struct Conn {
     /// a slow-loris dribble must NOT slide it.
     head_start_ns: u64,
     /// Earliest wheel entry armed for this connection (`u64::MAX` = none).
-    /// Wheel entries are never cancelled; a popped entry re-checks the
-    /// connection's real deadline and re-arms or expires accordingly.
+    /// Wheel entries are never cancelled while the connection lives (only
+    /// compaction drops them, after it closes); a popped entry re-checks
+    /// the connection's real deadline and re-arms or expires accordingly.
     armed_until: u64,
 }
 
@@ -861,6 +936,10 @@ fn rearm_deadline(
         }
     }
 }
+
+/// Stale deadline-wheel entries a worker tolerates beyond twice its live
+/// ones before compacting (24 B each).
+const WHEEL_SLACK: usize = 1024;
 
 /// Token 0 is reserved for the waker. A connection token is its packed slab
 /// handle (`Handle::raw`), whose low 32 bits are a sequence that starts at 1
@@ -1024,12 +1103,14 @@ fn worker_loop(
     // never reused, so a popped entry whose connection is gone is simply
     // stale — no cancellation bookkeeping on the hot path). When the policy
     // arms no deadline at all, the wheel is never touched: the paper
-    // configuration pays nothing.
+    // configuration pays nothing. `wheel_live` is the entry count the last
+    // compaction left (see the harvest below).
     let epoch = Instant::now();
     let deadlines_on = cfg.lifecycle.idle_timeout.is_some()
         || cfg.lifecycle.header_timeout.is_some()
         || cfg.lifecycle.write_stall_timeout.is_some();
     let mut wheel: DeadlineWheel<usize> = DeadlineWheel::new();
+    let mut wheel_live = 0usize;
 
     while !ctl.stop.load(Ordering::Relaxed) {
         if take_crash_token(&ctl) {
@@ -1510,6 +1591,17 @@ fn worker_loop(
                 if let Some(s) = shard.as_ref() {
                     s.cell.on_close();
                 }
+            }
+            // Compaction: a connection that closes leaves its entries armed
+            // until they expire, so under churn the wheel would hold
+            // (close rate × timeout) stale entries. Once they outnumber the
+            // live ones, drop every entry whose connection is gone — wheel
+            // memory stays O(open connections), and each O(wheel) pass is
+            // paid for by more than `wheel_live + WHEEL_SLACK` entries armed
+            // since the last one.
+            if wheel.len() > 2 * conns.len().max(wheel_live) + WHEEL_SLACK {
+                wheel.retain(|&token| conns.contains(Handle::from_raw(token as u64)));
+                wheel_live = wheel.len();
             }
         }
 

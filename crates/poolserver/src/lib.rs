@@ -80,9 +80,8 @@ pub struct PoolStats {
     pub accept_errors: AtomicU64,
 }
 
-/// Shared mutable control state: shutdown/drain flags, fault hooks, and the
-/// live-connection registry.
-#[derive(Default)]
+/// Shared mutable control state: shutdown/drain flags, fault hooks, the
+/// live-connection registry, and the accept path's wake pipe.
 struct PoolCtl {
     stop: AtomicBool,
     draining: AtomicBool,
@@ -92,6 +91,24 @@ struct PoolCtl {
     drained: AtomicU64,
     aborted: AtomicU64,
     registry: ConnRegistry,
+    /// Written after every flag change above, so the thread blocked in
+    /// `poll(2)` under the accept mutex re-reads them.
+    wake: WakePipe,
+}
+
+impl PoolCtl {
+    fn new() -> io::Result<PoolCtl> {
+        Ok(PoolCtl {
+            stop: AtomicBool::new(false),
+            draining: AtomicBool::new(false),
+            accepts_stalled: AtomicBool::new(false),
+            crash_tokens: AtomicU64::new(0),
+            drained: AtomicU64::new(0),
+            aborted: AtomicU64::new(0),
+            registry: ConnRegistry::default(),
+            wake: WakePipe::new()?,
+        })
+    }
 }
 
 /// Registry of live connections: a cloned stream handle per connection so
@@ -172,7 +189,7 @@ impl PoolServer {
         let server = PoolServer {
             addr,
             config: config.clone(),
-            ctl: Arc::new(PoolCtl::default()),
+            ctl: Arc::new(PoolCtl::new()?),
             stats: Arc::new(PoolStats::default()),
             gauges: Arc::new(LiveGauges::new()),
             ends: Arc::new(LiveEnds::new()),
@@ -234,6 +251,9 @@ impl PoolServer {
 
     fn stop_and_join(&self) {
         self.ctl.stop.store(true, Ordering::SeqCst);
+        // Wake the accept-mutex holder first: it blocks in `poll(2)` while
+        // holding the lock this needs.
+        self.ctl.wake.wake();
         *self.listener.lock() = None;
         // Interrupt threads blocked reading idle keep-alive connections —
         // without this, shutdown waits out a full read slice per thread.
@@ -255,6 +275,7 @@ impl PoolServer {
     /// connections ended cleanly vs were cut mid-response.
     pub fn shutdown_graceful(self, deadline: Duration) -> DrainReport {
         self.ctl.draining.store(true, Ordering::SeqCst);
+        self.ctl.wake.wake();
         *self.listener.lock() = None;
         let start = Instant::now();
         while start.elapsed() < deadline && !self.ctl.registry.is_empty() {
@@ -281,6 +302,7 @@ impl Drop for PoolServer {
 impl faults::FaultTarget for PoolServer {
     fn stall_accepts(&self, on: bool) {
         self.ctl.accepts_stalled.store(on, Ordering::SeqCst);
+        self.ctl.wake.wake();
     }
 
     fn crash_worker(&self) -> bool {
@@ -288,6 +310,9 @@ impl faults::FaultTarget for PoolServer {
             return false;
         }
         self.ctl.crash_tokens.fetch_add(1, Ordering::SeqCst);
+        // An idle pool takes the token at the top of its loop; wake the
+        // holder so one thread gets there.
+        self.ctl.wake.wake();
         true
     }
 
@@ -339,16 +364,16 @@ fn pool_thread(
             stats.worker_crashes.fetch_add(1, Ordering::SeqCst);
             break;
         }
-        if ctl.accepts_stalled.load(Ordering::Relaxed) {
-            std::thread::sleep(Duration::from_millis(1));
-            continue;
-        }
         // Apache's accept serialisation: one thread in accept at a time.
+        // The holder blocks in `poll(2)` on the listener and the wake pipe;
+        // the rest of the idle pool parks on the mutex.
         let accepted = {
             let guard = listener.lock();
-            match guard.as_ref() {
-                Some(l) => l.accept(),
-                None => break,
+            let Some(l) = guard.as_ref() else { break };
+            match accept_or_wait(l, &ctl) {
+                Some(accepted) => accepted,
+                // Woken: release the mutex and re-read the flags above.
+                None => continue,
             }
         };
         match accepted {
@@ -420,9 +445,6 @@ fn pool_thread(
                 gauges.sub(GaugeKind::OpenConns, 1);
                 stats.busy_threads.fetch_sub(1, Ordering::Relaxed);
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
             Err(e) => match e.raw_os_error() {
                 // A connection that died between SYN and accept, or a
                 // signal: retry immediately, nothing is wrong with us.
@@ -447,6 +469,129 @@ fn pool_thread(
     }
     stats.alive_threads.fetch_sub(1, Ordering::SeqCst);
     hists.lock().merge(&local_hists);
+}
+
+/// The accept-mutex holder's turn: accept one connection, blocking in
+/// `poll(2)` on the listener and the wake pipe while the backlog is empty
+/// (or on the pipe alone during an accept stall). `None` means the pipe
+/// fired — a flag changed, and the caller must release the mutex and
+/// re-read them. The flags are checked here, under the mutex, before every
+/// wait: a wake written after the flag was set is either still in the pipe
+/// when the holder polls or was drained by a holder that re-checks next.
+fn accept_or_wait(
+    listener: &TcpListener,
+    ctl: &PoolCtl,
+) -> Option<io::Result<(TcpStream, SocketAddr)>> {
+    loop {
+        if ctl.stop.load(Ordering::SeqCst) || ctl.draining.load(Ordering::SeqCst) {
+            return None;
+        }
+        if ctl.accepts_stalled.load(Ordering::SeqCst) {
+            // Server-stall fault window: SYNs queue in the kernel backlog.
+            ctl.wake.wait(None);
+            return None;
+        }
+        match listener.accept() {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                if ctl.wake.wait(Some(listener.as_raw_fd())) {
+                    return None;
+                }
+            }
+            accepted => return Some(accepted),
+        }
+    }
+}
+
+/// A non-blocking self-pipe: the pool's wake-up for the thread blocked in
+/// `poll(2)` under the accept mutex. Raw syscalls in the same idiom as
+/// [`set_linger_zero`]; this crate stays free of the `reactor` crate, so the
+/// wire-equivalence tests can use it as their independent reference.
+struct WakePipe {
+    read_fd: i32,
+    write_fd: i32,
+}
+
+impl WakePipe {
+    fn new() -> io::Result<WakePipe> {
+        extern "C" {
+            fn pipe2(fds: *mut i32, flags: i32) -> i32;
+        }
+        const O_NONBLOCK: i32 = 0x800;
+        const O_CLOEXEC: i32 = 0x8_0000;
+        let mut fds = [0i32; 2];
+        // SAFETY: `fds` is a writable array of the two ints pipe2 fills.
+        if unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(WakePipe {
+            read_fd: fds[0],
+            write_fd: fds[1],
+        })
+    }
+
+    /// Make the pipe readable. Wakes coalesce: a full pipe drops the byte.
+    fn wake(&self) {
+        extern "C" {
+            fn write(fd: i32, buf: *const std::os::raw::c_void, count: usize) -> isize;
+        }
+        let byte = 1u8;
+        // SAFETY: writes one byte from a live local; the fd is owned by
+        // `self` and stays open until drop.
+        let _ = unsafe { write(self.write_fd, &byte as *const u8 as *const _, 1) };
+    }
+
+    /// Block until the pipe (or `listener`, when given) is readable.
+    /// Returns true, with the pipe drained, when the pipe fired.
+    fn wait(&self, listener: Option<i32>) -> bool {
+        #[repr(C)]
+        struct PollFd {
+            fd: i32,
+            events: i16,
+            revents: i16,
+        }
+        extern "C" {
+            fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: i32) -> i32;
+            fn read(fd: i32, buf: *mut std::os::raw::c_void, count: usize) -> isize;
+        }
+        const POLLIN: i16 = 1;
+        let mut fds = [
+            PollFd {
+                fd: self.read_fd,
+                events: POLLIN,
+                revents: 0,
+            },
+            PollFd {
+                fd: listener.unwrap_or(-1),
+                events: POLLIN,
+                revents: 0,
+            },
+        ];
+        // EINTR and listener readiness both come back as "not woken": the
+        // caller retries `accept`, which waits again on `WouldBlock`.
+        // SAFETY: `fds` is a live array of `fds.len()` `#[repr(C)]` pollfd
+        // records; poll ignores the negative fd of an absent listener.
+        if unsafe { poll(fds.as_mut_ptr(), fds.len() as _, -1) } <= 0 || fds[0].revents == 0 {
+            return false;
+        }
+        let mut buf = [0u8; 64];
+        // SAFETY: reads at most `buf.len()` bytes into the local buffer; the
+        // fd is non-blocking, so the loop ends at EAGAIN.
+        while unsafe { read(self.read_fd, buf.as_mut_ptr() as *mut _, buf.len()) } > 0 {}
+        true
+    }
+}
+
+impl Drop for WakePipe {
+    fn drop(&mut self) {
+        extern "C" {
+            fn close(fd: i32) -> i32;
+        }
+        // SAFETY: both fds are owned by `self` and closed exactly once, here.
+        unsafe {
+            close(self.read_fd);
+            close(self.write_fd);
+        }
+    }
 }
 
 /// Serve one connection until it closes, errors, or idles out. Returns true

@@ -11,10 +11,12 @@
 //! - The pop is *bounded*: [`DeadlineWheel::pop_due`] only yields entries
 //!   whose deadline is at or before `now`, so a worker loop can harvest
 //!   expiries once per select tick without a global peek.
-//! - There is no remove. Cancellation is lazy: callers key entries with a
-//!   generation counter and drop stale pops (an event-driven server re-arms
-//!   deadlines on every readiness event; eager removal would make the hot
-//!   path pay for the cold one).
+//! - There is no per-entry remove. Cancellation is lazy: callers key
+//!   entries with a generation counter and drop stale pops (an event-driven
+//!   server re-arms deadlines on every readiness event; eager removal would
+//!   make the hot path pay for the cold one). Left alone, stale entries
+//!   accumulate at (close rate × timeout); [`DeadlineWheel::retain`] is the
+//!   batch compaction a caller runs once they outnumber the live ones.
 //!
 //! Default resolution is 1 ms — connection deadlines are 100 ms..minutes, so
 //! a coarser base slot keeps cascades rare while staying far below the
@@ -214,6 +216,20 @@ impl<K> DeadlineWheel<K> {
             }
         }
         best
+    }
+
+    /// Drop every armed entry whose key fails `keep`. Survivors stay in
+    /// their slots in arm order, so the pop order of what remains is
+    /// unchanged. O(entries + buckets): meant to run in batches, not per
+    /// event.
+    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
+        let mut len = 0;
+        for bucket in self.wheels.iter_mut().flatten() {
+            bucket.retain(|e| keep(&e.key));
+            len += bucket.len();
+        }
+        self.overflow.retain(|e| keep(&e.key));
+        self.len = len + self.overflow.len();
     }
 
     pub fn len(&self) -> usize {
