@@ -18,11 +18,6 @@
 //!   repro chaos               # replay every named fault plan against both
 //!                             # architectures; report degradation and
 //!                             # time-to-recover (--smoke: CI subset)
-//!   repro bench               # live loopback perf bench on both real
-//!                             # servers; writes BENCH_live.json
-//!   repro bench --smoke       # short re-run: validate the committed
-//!                             # BENCH_live.json schema and fail on a >20%
-//!                             # throughput regression vs that baseline
 //!   repro scale               # connection-count frontier: ramp live
 //!                             # keep-alive conns to the fd ceiling and a
 //!                             # million simulated conns into the slab;
@@ -68,7 +63,6 @@ fn main() {
     let mut quick = false;
     let mut observe_mode = false;
     let mut chaos_mode = false;
-    let mut bench_mode = false;
     let mut scale_mode = false;
     let mut resilience_mode = false;
     let mut fleet_mode = false;
@@ -90,7 +84,6 @@ fn main() {
             "--sharded" => accept_mode = faults::AcceptMode::Sharded,
             "observe" => observe_mode = true,
             "chaos" => chaos_mode = true,
-            "bench" => bench_mode = true,
             "scale" => scale_mode = true,
             "resilience" => resilience_mode = true,
             "fleet" => fleet_mode = true,
@@ -132,7 +125,7 @@ fn main() {
                 println!("paper figures:    {}", ALL_FIGURE_IDS.join(" "));
                 println!("tables:           table-up table-smp");
                 println!("robustness:       sensitivity chaos resilience fleet conformance");
-                println!("performance:      bench scale");
+                println!("performance:      scale");
                 println!("observability:    observe <fig-id> | observe capacity");
                 println!("fault plans:      {}", faults::PLAN_NAMES.join(" "));
                 println!("extensions:       {}", EXTENSION_IDS.join(" "));
@@ -140,7 +133,7 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: repro [observe] [all | ext | everything | chaos | bench | fleet | conformance | fig1a ...] [--quick] [--smoke] [--sharded] [--json PATH]"
+                    "usage: repro [observe] [all | ext | everything | chaos | fleet | conformance | fig1a ...] [--quick] [--smoke] [--sharded] [--json PATH]"
                 );
                 std::process::exit(0);
             }
@@ -155,55 +148,6 @@ fn main() {
             other => ids.push(other.to_string()),
         }
         i += 1;
-    }
-    if bench_mode {
-        let start = std::time::Instant::now();
-        let report = experiments::run_bench(smoke);
-        println!("{}", experiments::render_bench(&report));
-        let doc = experiments::bench_to_json(&report).render();
-        if smoke {
-            // CI gate: the committed baseline must parse, and the fresh
-            // smoke run must not regress throughput past the tolerance.
-            let path = json_path
-                .unwrap_or_else(|| experiments::BENCH_BASELINE_PATH.to_string());
-            let baseline_text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read baseline {path}: {e}");
-                std::process::exit(1);
-            });
-            let baseline = experiments::parse_bench_json(&baseline_text).unwrap_or_else(|e| {
-                eprintln!("baseline {path} failed schema validation: {e}");
-                std::process::exit(1);
-            });
-            let mut checks = experiments::regression_checks(
-                &baseline,
-                &report,
-                experiments::REGRESSION_TOLERANCE,
-            );
-            // The accept A/B gates on the fresh run itself: sharding must
-            // not slow connection establishment or shed throughput.
-            if let Some(ab) = &report.accept_ab {
-                checks.extend(experiments::accept_ab_checks(ab));
-            }
-            // The backend A/B likewise: every reactor backend serves the
-            // workload error-free (no relative perf bar — see BackendAb).
-            if let Some(ab) = &report.backend_ab {
-                checks.extend(experiments::backend_ab_checks(ab));
-            }
-            println!("{}", render_checks(&checks));
-            println!("  ({:.1}s)\n", start.elapsed().as_secs_f64());
-            let failed = checks.iter().filter(|c| !c.pass).count();
-            if failed > 0 {
-                eprintln!("{failed} bench check(s) FAILED");
-                std::process::exit(1);
-            }
-        } else {
-            let path = json_path
-                .unwrap_or_else(|| experiments::BENCH_BASELINE_PATH.to_string());
-            std::fs::write(&path, &doc).expect("write bench json");
-            println!("wrote {path}");
-            println!("  ({:.1}s)\n", start.elapsed().as_secs_f64());
-        }
-        return;
     }
     if scale_mode {
         let start = std::time::Instant::now();

@@ -6,9 +6,8 @@
 //! * a virtual clock with nanosecond resolution ([`SimTime`], [`SimDuration`]);
 //! * a deterministic, splittable PRNG ([`Rng`]) so runs are bit-reproducible
 //!   from a single seed;
-//! * a pending-event set abstraction with binary-heap, calendar-queue and
-//!   hierarchical-timer-wheel implementations ([`EventQueue`],
-//!   [`BinaryHeapQueue`], [`CalendarQueue`], [`TimerWheel`]);
+//! * a pending-event set: the [`EventQueue`] trait and its binary-heap
+//!   implementation, [`BinaryHeapQueue`];
 //! * the engine itself ([`Engine`], [`Model`], [`Ctx`]) with cancellation,
 //!   horizons, stop requests, and an event budget backstop;
 //! * a bounded debugging trace ([`Trace`]).
@@ -41,11 +40,9 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
-pub mod wheel;
 
 pub use engine::{Ctx, Engine, EngineStats, EventId, Model, RunOutcome};
-pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, Scheduled};
+pub use queue::{BinaryHeapQueue, EventQueue, Scheduled};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceLevel, TraceRecord};
-pub use wheel::TimerWheel;

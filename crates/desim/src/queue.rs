@@ -1,11 +1,11 @@
-//! Pending-event set implementations.
+//! The pending-event set.
 //!
-//! The engine is generic over its pending-event set so the classic
-//! binary-heap future-event list can be compared against a calendar queue
-//! (Brown, 1988) — the `ablate_selector`-style bench in `bench/` measures
-//! both. Every implementation must be a *stable* priority queue: events with
-//! equal timestamps dequeue in insertion order, which the engine relies on
-//! for deterministic causality (see `engine::Engine`).
+//! The engine is generic over an [`EventQueue`]; the one implementation is
+//! the classic binary-heap future-event list, [`BinaryHeapQueue`], whose
+//! push/pop cost the benchmark's `desim.queue_push_pop_ns` replay times.
+//! An implementation must be a *stable* priority queue: events with equal
+//! timestamps dequeue in insertion order, which the engine relies on for
+//! deterministic causality (see `engine::Engine`).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -97,181 +97,6 @@ impl<E> EventQueue<E> for BinaryHeapQueue<E> {
     }
 }
 
-/// A calendar queue (Brown 1988): an array of time buckets ("days") scanned
-/// cyclically, with amortised O(1) push/pop when event-time increments are
-/// well matched to the bucket width. Resizes itself when the population
-/// drifts far from the bucket count.
-///
-/// Buckets hold sorted vectors; within a bucket, ties resolve by sequence
-/// number, preserving the stability contract.
-#[derive(Debug)]
-pub struct CalendarQueue<E> {
-    buckets: Vec<Vec<Scheduled<E>>>,
-    bucket_width: u64,
-    /// Index of the bucket the cursor is currently scanning.
-    cursor: usize,
-    /// Start time of the cursor's current "day".
-    cursor_day_start: u64,
-    len: usize,
-    /// Resize thresholds.
-    max_load: usize,
-    min_load: usize,
-}
-
-impl<E> CalendarQueue<E> {
-    pub fn new() -> Self {
-        Self::with_buckets(16, 1_000_000) // 1 ms default day width
-    }
-
-    pub fn with_buckets(nbuckets: usize, bucket_width: u64) -> Self {
-        assert!(nbuckets.is_power_of_two(), "bucket count must be a power of two");
-        assert!(bucket_width > 0);
-        CalendarQueue {
-            buckets: (0..nbuckets).map(|_| Vec::new()).collect(),
-            bucket_width,
-            cursor: 0,
-            cursor_day_start: 0,
-            len: 0,
-            max_load: nbuckets * 2,
-            min_load: nbuckets / 2,
-        }
-    }
-
-    fn bucket_index(&self, t: u64) -> usize {
-        ((t / self.bucket_width) as usize) & (self.buckets.len() - 1)
-    }
-
-    fn insert_sorted(bucket: &mut Vec<Scheduled<E>>, entry: Scheduled<E>) {
-        // Buckets are kept sorted ascending by (time, seq); binary search for
-        // the insertion point.
-        let pos = bucket
-            .binary_search_by(|probe| {
-                probe
-                    .time
-                    .cmp(&entry.time)
-                    .then_with(|| probe.seq.cmp(&entry.seq))
-            })
-            .unwrap_err();
-        bucket.insert(pos, entry);
-    }
-
-    fn resize(&mut self, nbuckets: usize) {
-        let nbuckets = nbuckets.max(4).next_power_of_two();
-        if nbuckets == self.buckets.len() {
-            return;
-        }
-        let old: Vec<Scheduled<E>> = self
-            .buckets
-            .iter_mut()
-            .flat_map(std::mem::take)
-            .collect();
-        self.buckets = (0..nbuckets).map(|_| Vec::new()).collect();
-        self.max_load = nbuckets * 2;
-        self.min_load = nbuckets / 2;
-        // Re-aim the cursor at the earliest pending event (or keep position).
-        if let Some(min_t) = old.iter().map(|s| s.time.as_nanos()).min() {
-            self.cursor_day_start = min_t - (min_t % self.bucket_width);
-            self.cursor = self.bucket_index(min_t);
-        }
-        for entry in old {
-            let idx = self.bucket_index(entry.time.as_nanos());
-            Self::insert_sorted(&mut self.buckets[idx], entry);
-        }
-    }
-
-    /// Find the globally earliest entry by full scan — used when the cursor
-    /// has lapped the calendar without finding anything in the current year.
-    fn earliest_bucket(&self) -> Option<usize> {
-        let mut best: Option<(SimTime, u64, usize)> = None;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if let Some(first) = b.first() {
-                let key = (first.time, first.seq, i);
-                if best.is_none_or(|b0| (key.0, key.1) < (b0.0, b0.1)) {
-                    best = Some(key);
-                }
-            }
-        }
-        best.map(|(_, _, i)| i)
-    }
-}
-
-impl<E> Default for CalendarQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> for CalendarQueue<E> {
-    fn push(&mut self, entry: Scheduled<E>) {
-        let t = entry.time.as_nanos();
-        let idx = self.bucket_index(t);
-        Self::insert_sorted(&mut self.buckets[idx], entry);
-        self.len += 1;
-        // If a push lands before the cursor's current day, rewind the cursor
-        // so we don't skip it.
-        if t < self.cursor_day_start {
-            self.cursor_day_start = t - (t % self.bucket_width);
-            self.cursor = idx;
-        }
-        if self.len > self.max_load {
-            let target = self.buckets.len() * 2;
-            self.resize(target);
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        let nbuckets = self.buckets.len();
-        let year = self.bucket_width * nbuckets as u64;
-        // Scan at most one full calendar year bucket by bucket.
-        for step in 0..nbuckets {
-            let idx = (self.cursor + step) & (nbuckets - 1);
-            let day_start = self.cursor_day_start + step as u64 * self.bucket_width;
-            let day_end = day_start + self.bucket_width;
-            if let Some(first) = self.buckets[idx].first() {
-                let t = first.time.as_nanos();
-                if t < day_end {
-                    let entry = self.buckets[idx].remove(0);
-                    self.len -= 1;
-                    self.cursor = idx;
-                    self.cursor_day_start = day_start;
-                    if self.len < self.min_load && nbuckets > 4 {
-                        self.resize(nbuckets / 2);
-                    }
-                    return Some(entry);
-                }
-            }
-        }
-        // Nothing due this year: jump straight to the earliest entry.
-        let idx = self.earliest_bucket().expect("len > 0 but no entries");
-        let entry = self.buckets[idx].remove(0);
-        self.len -= 1;
-        let t = entry.time.as_nanos();
-        self.cursor = idx;
-        self.cursor_day_start = t - (t % self.bucket_width);
-        // Suppress unused warning for `year` under future refactors.
-        let _ = year;
-        if self.len < self.min_load && nbuckets > 4 {
-            self.resize(nbuckets / 2);
-        }
-        Some(entry)
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        self.earliest_bucket()
-            .and_then(|i| self.buckets[i].first().map(|s| s.time))
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,59 +128,18 @@ mod tests {
     }
 
     #[test]
-    fn calendar_orders_by_time_then_seq() {
-        let mut q = CalendarQueue::with_buckets(8, 10);
-        q.push(entry(5, 0));
-        q.push(entry(3, 1));
-        q.push(entry(5, 2));
-        q.push(entry(1, 3));
-        q.push(entry(1000, 4)); // far future, beyond one year
-        assert_eq!(
-            drain(&mut q),
-            vec![(1, 3), (3, 1), (5, 0), (5, 2), (1000, 4)]
-        );
-    }
-
-    #[test]
-    fn calendar_handles_push_into_past() {
-        let mut q = CalendarQueue::with_buckets(8, 10);
-        q.push(entry(500, 0));
-        assert_eq!(q.pop().unwrap().time.as_nanos(), 500);
-        // Now push events earlier than the cursor day.
-        q.push(entry(100, 1));
-        q.push(entry(90, 2));
-        assert_eq!(drain(&mut q), vec![(90, 2), (100, 1)]);
-    }
-
-    #[test]
-    fn calendar_resizes_under_load() {
-        let mut q = CalendarQueue::with_buckets(4, 10);
-        for i in 0..1000 {
-            q.push(entry(i * 7 % 997, i));
-        }
-        assert_eq!(q.len(), 1000);
-        let drained = drain(&mut q);
-        assert_eq!(drained.len(), 1000);
-        for w in drained.windows(2) {
-            assert!(w[0] <= w[1], "out of order: {w:?}");
-        }
-    }
-
-    #[test]
     fn peek_matches_pop() {
         let mut h = BinaryHeapQueue::new();
-        let mut c = CalendarQueue::with_buckets(8, 100);
         for i in 0..200u64 {
-            let t = (i * 37) % 1009;
-            h.push(entry(t, i));
-            c.push(entry(t, i));
+            h.push(entry((i * 37) % 1009, i));
         }
+        let mut popped = 0;
         while let Some(pt) = h.peek_time() {
-            assert_eq!(c.peek_time(), Some(pt));
             assert_eq!(h.pop().unwrap().time, pt);
-            assert_eq!(c.pop().unwrap().time, pt);
+            popped += 1;
         }
-        assert!(c.pop().is_none());
+        assert_eq!(popped, 200);
+        assert!(h.pop().is_none());
     }
 
     #[test]
@@ -364,9 +148,5 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         assert!(q.pop().is_none());
-        let mut c: CalendarQueue<u64> = CalendarQueue::new();
-        assert!(c.is_empty());
-        assert_eq!(c.peek_time(), None);
-        assert!(c.pop().is_none());
     }
 }

@@ -1,11 +1,11 @@
-//! Property-based tests for the DES kernel: queue ordering equivalence,
-//! causality, and RNG stream independence.
+//! Property-based tests for the DES kernel: queue ordering against a
+//! sorted model, causality, and RNG stream independence.
 
 use desim::{
-    BinaryHeapQueue, CalendarQueue, Ctx, Engine, EventQueue, Model, Rng, Scheduled, SimDuration,
-    SimTime, TimerWheel,
+    BinaryHeapQueue, Ctx, Engine, EventQueue, Model, Rng, Scheduled, SimDuration, SimTime,
 };
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// A model that records (time, payload) for every dispatched event and
 /// schedules nothing new — used to observe raw dispatch order.
@@ -21,33 +21,37 @@ impl Model for Observer {
 }
 
 proptest! {
-    /// The two queue implementations dispatch identical sequences for any
-    /// mix of timestamps, including heavy ties.
+    /// The heap pops exactly what a sorted `(time, seq)` model pops, under
+    /// any interleaving of pushes (heavy timestamp ties included) and pops,
+    /// and `peek_time`/`len` agree with the model throughout.
     #[test]
-    fn queues_agree(times in proptest::collection::vec(0u64..10_000, 0..300)) {
+    fn queues_agree(ops in proptest::collection::vec((0u64..100, 0u8..4), 0..300)) {
         let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::with_buckets(8, 64);
-        let mut wheel: TimerWheel<u64> = TimerWheel::with_resolution(32);
-        for (i, &t) in times.iter().enumerate() {
-            let entry = || Scheduled { time: SimTime::from_nanos(t), seq: i as u64, event: i as u64 };
-            heap.push(entry());
-            cal.push(entry());
-            wheel.push(entry());
-        }
-        loop {
-            match (heap.pop(), cal.pop(), wheel.pop()) {
-                (None, None, None) => break,
-                (Some(a), Some(b), Some(c)) => {
-                    prop_assert_eq!(a.time, b.time);
-                    prop_assert_eq!(a.seq, b.seq);
-                    prop_assert_eq!(a.event, b.event);
-                    prop_assert_eq!(a.time, c.time);
-                    prop_assert_eq!(a.seq, c.seq);
-                }
-                (a, b, c) => prop_assert!(false,
-                    "length mismatch: {:?}/{:?}/{:?}", a.is_some(), b.is_some(), c.is_some()),
+        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
+        let pop_both = |heap: &mut BinaryHeapQueue<u64>, model: &mut BTreeSet<(u64, u64)>| {
+            let got = heap.pop().map(|s| {
+                assert_eq!(s.event, s.seq, "payload travels with its entry");
+                (s.time.as_nanos(), s.seq)
+            });
+            assert_eq!(got, model.pop_first());
+        };
+        for (seq, &(t, op)) in ops.iter().enumerate() {
+            // One op in four pops; pushes land on 100 distinct times, so
+            // equal timestamps are common and FIFO order is exercised.
+            if op == 0 {
+                pop_both(&mut heap, &mut model);
+            } else {
+                let seq = seq as u64;
+                heap.push(Scheduled { time: SimTime::from_nanos(t), seq, event: seq });
+                model.insert((t, seq));
             }
+            prop_assert_eq!(heap.len(), model.len());
+            prop_assert_eq!(heap.peek_time(), model.first().map(|&(t, _)| SimTime::from_nanos(t)));
         }
+        while !model.is_empty() {
+            pop_both(&mut heap, &mut model);
+        }
+        prop_assert!(heap.pop().is_none());
     }
 
     /// Dispatch order is nondecreasing in time, and FIFO within equal times,
@@ -66,37 +70,6 @@ proptest! {
             if w[0].0 == w[1].0 {
                 prop_assert!(w[0].1 < w[1].1, "FIFO violated at t={}: {:?}", w[0].0, w);
             }
-        }
-    }
-
-    /// Interleaved push/pop on the calendar queue never loses or reorders
-    /// events relative to the heap, even when pushes land in the "past"
-    /// relative to the cursor.
-    #[test]
-    fn calendar_interleaved_matches_heap(
-        ops in proptest::collection::vec((0u64..5_000, any::<bool>()), 1..400)
-    ) {
-        let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
-        let mut cal: CalendarQueue<u64> = CalendarQueue::with_buckets(4, 100);
-        let mut seq = 0u64;
-        for &(t, is_pop) in &ops {
-            if is_pop {
-                let a = heap.pop();
-                let b = cal.pop();
-                match (a, b) {
-                    (None, None) => {}
-                    (Some(x), Some(y)) => {
-                        prop_assert_eq!(x.time, y.time);
-                        prop_assert_eq!(x.seq, y.seq);
-                    }
-                    _ => prop_assert!(false, "pop mismatch"),
-                }
-            } else {
-                seq += 1;
-                heap.push(Scheduled { time: SimTime::from_nanos(t), seq, event: seq });
-                cal.push(Scheduled { time: SimTime::from_nanos(t), seq, event: seq });
-            }
-            prop_assert_eq!(heap.len(), cal.len());
         }
     }
 

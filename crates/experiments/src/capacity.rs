@@ -2,9 +2,9 @@
 //!
 //! The paper's Figs 7–10 show *where each architecture's scaling curve
 //! bends*: nio peaks at 2 workers on the 4-way SMP, httpd gains little
-//! past its best pool. A point throughput gate (the `repro bench` guard)
-//! cannot see that shape — a change can keep the 1-worker rate intact
-//! while wrecking the 4-worker rate. This module fits Gunther's Universal
+//! past its best pool. A point throughput measurement (one `benchmark/`
+//! workload) cannot see that shape — a change can keep the 1-worker rate
+//! intact while wrecking the 4-worker rate. This module fits Gunther's Universal
 //! Scalability Law ([`obs::fit_usl`]) to throughput-vs-parallelism sweeps
 //! in **both layers**:
 //!
@@ -22,10 +22,10 @@
 //! [`KAPPA_TOLERANCE`] against the committed `CAPACITY_baseline.json`.
 
 use crate::checks::Check;
-use crate::perfbench::{get, get_num, get_str, JsonParser, JsonValue};
 use crate::sweep::sweep;
 use desim::SimDuration;
 use httpcore::ContentStore;
+use metrics::json::{get, get_num, get_str};
 use metrics::Json;
 use netsim::LinkConfig;
 use obs::{fit_usl, UslFit};
@@ -427,17 +427,17 @@ pub fn capacity_to_json(report: &CapacityReport) -> Json {
 }
 
 /// A number that may legitimately be non-finite (serialized as `null`).
-fn get_num_or_nan(obj: &[(String, JsonValue)], key: &str) -> Result<f64, String> {
+fn get_num_or_nan(obj: &[(String, Json)], key: &str) -> Result<f64, String> {
     match get(obj, key)? {
-        JsonValue::Num(n) => Ok(*n),
-        JsonValue::Null => Ok(f64::NAN),
+        Json::Num(n) => Ok(*n),
+        Json::Null => Ok(f64::NAN),
         _ => Err(format!("field '{key}' must be a number or null")),
     }
 }
 
 /// Parse and schema-validate a `CAPACITY_baseline.json` document.
 pub fn parse_capacity_json(text: &str) -> Result<CapacityReport, String> {
-    let doc = JsonParser::new(text).parse_document()?;
+    let doc = Json::parse(text)?;
     let obj = doc.as_object().ok_or("top level must be an object")?;
     let schema = get_str(obj, "schema")?;
     if schema != CAPACITY_SCHEMA {
@@ -456,7 +456,7 @@ pub fn parse_capacity_json(text: &str) -> Result<CapacityReport, String> {
         for p in get(o, "points")?.as_array().ok_or("'points' must be an array")? {
             let pair = p.as_array().ok_or("point must be a [n, rps] pair")?;
             match pair {
-                [JsonValue::Num(n), JsonValue::Num(y)] => points.push((*n, *y)),
+                [Json::Num(n), Json::Num(y)] => points.push((*n, *y)),
                 _ => return Err("point must be a [n, rps] pair of numbers".to_string()),
             }
         }
@@ -624,9 +624,23 @@ mod tests {
     #[test]
     fn schema_mismatch_and_junk_are_rejected() {
         assert!(parse_capacity_json("not json").is_err());
-        assert!(parse_capacity_json("{\"schema\": \"bench-live/v1\"}").is_err());
+        assert!(parse_capacity_json("{\"schema\": \"scale/v1\"}").is_err());
         let empty = "{\"schema\": \"capacity/v1\", \"scale\": \"smoke\", \"curves\": []}";
         assert!(parse_capacity_json(empty).is_err());
+    }
+
+    #[test]
+    fn committed_baseline_parses_and_passes_its_own_gate() {
+        let baseline = parse_capacity_json(include_str!("../../../CAPACITY_baseline.json"))
+            .expect("CAPACITY_baseline.json validates");
+        assert_eq!(baseline.curves.len(), 5, "2 sim + 3 live curves");
+        for c in &baseline.curves {
+            assert_eq!(c.points.len(), 4, "{}", c.key());
+            assert!(c.fit.is_some(), "{} has no fit", c.key());
+        }
+        let checks = capacity_checks(&baseline, &baseline);
+        assert_eq!(checks.len(), 10, "sigma and kappa per curve");
+        assert!(checks.iter().all(|c| c.pass), "{checks:?}");
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //! * [`checks`] — who-wins/crossover assertions per figure;
 //! * [`tables`] — the §4.1/§5.1 best-configuration determinations;
 //! * [`sensitivity`] — do the conclusions survive cost perturbations?
-//! * [`perfbench`] — the live loopback bench behind `repro bench` and its
-//!   `BENCH_live.json` regression guard;
 //! * [`capacity`] — the USL capacity observatory behind
 //!   `repro observe capacity` and its `CAPACITY_baseline.json` σ/κ gate;
 //! * [`resilience`] — the adversarial-client survival harness and Fig-3
@@ -31,7 +29,6 @@ pub mod conformance;
 pub mod figure;
 pub mod fleet;
 pub mod observe;
-pub mod perfbench;
 pub mod resilience;
 pub mod scale;
 pub mod sensitivity;
@@ -60,12 +57,6 @@ pub use resilience::{
 pub use scale::{
     parse_scale_json, render_scale, run_scale, scale_checks, scale_to_json, ScaleCurve,
     ScalePoint, ScaleReport, MEM_PER_CONN_TOLERANCE, SCALE_BASELINE_PATH, SCALE_SCHEMA,
-};
-pub use perfbench::{
-    accept_ab_checks, backend_ab_checks, bench_to_json, parse_bench_json, regression_checks,
-    render_bench, run_accept_ab, run_backend_ab, run_bench, AbSide, AcceptAb, BackendAb,
-    BackendSide, BenchReport, BenchResult, BENCH_BASELINE_PATH, BENCH_SCHEMA,
-    REGRESSION_TOLERANCE,
 };
 pub use checks::{check_figure, render_checks, Check};
 pub use figure::{Figure, Metric, Series};

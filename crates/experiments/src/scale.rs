@@ -30,9 +30,9 @@
 //! floor, and both layers must reach refusal and stay alive past it.
 
 use crate::checks::Check;
-use crate::perfbench::{get, get_num, get_str, JsonParser, JsonValue};
 use desim::SimDuration;
 use httpcore::{ContentStore, LifecyclePolicy};
+use metrics::json::{get, get_num, get_str};
 use metrics::Json;
 use netsim::LinkConfig;
 use serversim::{RunResult, ServerArch, TestbedConfig};
@@ -634,16 +634,16 @@ pub fn scale_to_json(report: &ScaleReport) -> Json {
     ])
 }
 
-fn get_bool(obj: &[(String, JsonValue)], key: &str) -> Result<bool, String> {
+fn get_bool(obj: &[(String, Json)], key: &str) -> Result<bool, String> {
     match get(obj, key)? {
-        JsonValue::Bool(b) => Ok(*b),
+        Json::Bool(b) => Ok(*b),
         _ => Err(format!("field '{key}' must be a boolean")),
     }
 }
 
 /// Parse and schema-validate a `SCALE_baseline.json` document.
 pub fn parse_scale_json(text: &str) -> Result<ScaleReport, String> {
-    let doc = JsonParser::new(text).parse_document()?;
+    let doc = Json::parse(text)?;
     let obj = doc.as_object().ok_or("top level must be an object")?;
     let schema = get_str(obj, "schema")?;
     if schema != SCALE_SCHEMA {
@@ -665,7 +665,7 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleReport, String> {
         {
             let triple = p.as_array().ok_or("point must be [conns, rss, fds]")?;
             match triple {
-                [JsonValue::Num(c), JsonValue::Num(r), JsonValue::Num(f)] => {
+                [Json::Num(c), Json::Num(r), Json::Num(f)] => {
                     points.push(ScalePoint {
                         conns: *c as u64,
                         rss_bytes: *r as u64,
@@ -685,20 +685,19 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleReport, String> {
             fd_watermark: get_num(o, "fd_watermark")? as u64,
             refusal_seen: get_bool(o, "refusal_seen")?,
             alive_after_refusal: get_bool(o, "alive_after_refusal")?,
-            // Optional so pre-knob baselines still parse (treated as
-            // kernel-default buffers).
+            // Absent (pre-knob baselines) or `null` (what the writer emits
+            // for `None`) means kernel-default buffers; anything else must
+            // be a [recv, send] pair.
             socket_buffers: match get(o, "socket_buffers") {
-                Ok(JsonValue::Array(pair)) => match pair.as_slice() {
-                    [JsonValue::Num(r), JsonValue::Num(w)] => {
-                        Some((*r as u32, *w as u32))
-                    }
+                Err(_) | Ok(Json::Null) => None,
+                Ok(v) => match v.as_array() {
+                    Some([Json::Num(r), Json::Num(w)]) => Some((*r as u32, *w as u32)),
                     _ => {
                         return Err(
-                            "'socket_buffers' must be [recv, send] numbers".to_string()
+                            "'socket_buffers' must be [recv, send] numbers or null".to_string()
                         )
                     }
                 },
-                _ => None,
             },
         });
     }
@@ -814,6 +813,33 @@ mod tests {
             assert!((a.mem_per_conn_bytes - b.mem_per_conn_bytes).abs() < 1e-9);
             assert_eq!(a.points.len(), b.points.len());
         }
+    }
+
+    #[test]
+    fn socket_buffers_absent_or_null_is_default_and_wrong_type_is_an_error() {
+        let text = scale_to_json(&fake_report(700.0, 420.0)).render();
+        let live_pair = "\"socket_buffers\":[4096,16384]";
+        assert!(text.contains(live_pair), "{text}");
+        let live_buffers = |doc: &str| parse_scale_json(doc).map(|r| r.curves[1].socket_buffers);
+        let null = text.replace(live_pair, "\"socket_buffers\":null");
+        let absent = text.replace(&format!("{live_pair},"), "");
+        assert_eq!(live_buffers(&null), Ok(None));
+        assert_eq!(live_buffers(&absent), Ok(None));
+        for bad in ["\"x\"", "4096", "[4096]", "[4096,\"y\"]", "{}"] {
+            let doc = text.replace(live_pair, &format!("\"socket_buffers\":{bad}"));
+            assert!(live_buffers(&doc).is_err(), "socket_buffers {bad}");
+        }
+    }
+
+    #[test]
+    fn committed_baseline_parses_and_passes_its_own_gate() {
+        let baseline = parse_scale_json(include_str!("../../../SCALE_baseline.json"))
+            .expect("SCALE_baseline.json validates");
+        let keys: Vec<String> = baseline.curves.iter().map(ScaleCurve::key).collect();
+        assert!(keys.iter().any(|k| k.starts_with("sim/")), "{keys:?}");
+        assert!(keys.iter().any(|k| k.starts_with("live/")), "{keys:?}");
+        assert!(baseline.curves.iter().any(|c| c.socket_buffers.is_some()));
+        assert!(scale_checks(&baseline, &baseline).iter().all(|c| c.pass));
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`ErrorCounters`]/[`TrafficCounters`] — httperf-style accounting;
 //! * [`Table`] — plain-text report rendering;
 //! * [`render_chart`] — terminal line charts for figure shapes;
-//! * [`Json`] — minimal JSON export of results.
+//! * [`Json`] — minimal JSON: export of results, and the reader for the
+//!   committed baselines.
 
 pub mod chart;
 pub mod counters;

@@ -1,10 +1,66 @@
 //! Property tests for the measurement layer: histogram quantile bounds and
-//! relative-error guarantees, summary merge associativity, JSON validity.
+//! relative-error guarantees, summary merge associativity, JSON validity
+//! and the render→parse round trip.
 
+use desim::Rng;
 use metrics::{Histogram, Json, Summary};
 use proptest::prelude::*;
 
+/// Characters that exercise every branch of the string codec: the two
+/// mandatory escapes, named control escapes, a `\u` control, and 2-, 3-
+/// and 4-byte UTF-8.
+const STRING_CHARS: [char; 14] = [
+    'a', 'Z', '7', ' ', '"', '\\', '\r', '\n', '\t', '\u{1}', 'é', '€', '中', '🦀',
+];
+
+fn random_string(rng: &mut Rng) -> String {
+    (0..rng.below(12))
+        .map(|_| STRING_CHARS[rng.below(STRING_CHARS.len() as u64) as usize])
+        .collect()
+}
+
+/// A finite number: integral (rendered without a fraction) or fractional,
+/// over many magnitudes and both signs.
+fn random_number(rng: &mut Rng) -> f64 {
+    let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+    if rng.chance(0.5) {
+        sign * rng.below(1 << 53) as f64
+    } else {
+        sign * rng.f64() * 10f64.powi(rng.below(40) as i32 - 20)
+    }
+}
+
+/// A random finite JSON tree with nested objects and arrays.
+fn random_tree(rng: &mut Rng, depth: u32) -> Json {
+    let kinds = if depth == 0 { 4 } else { 6 };
+    match rng.below(kinds) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.chance(0.5)),
+        2 => Json::Num(random_number(rng)),
+        3 => Json::Str(random_string(rng)),
+        4 => Json::Array(
+            (0..rng.below(5))
+                .map(|_| random_tree(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Object(
+            (0..rng.below(5))
+                .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
 proptest! {
+    /// Everything the writer emits, the reader returns unchanged.
+    #[test]
+    fn json_parse_inverts_render(seed in any::<u64>()) {
+        let mut rng = Rng::new(seed);
+        let v = random_tree(&mut rng, 4);
+        let text = v.render();
+        prop_assert_eq!(Json::parse(&text), Ok(v), "{}", text);
+    }
+
     /// Quantiles are within the recorded range, monotone in q, and the
     /// median of a single repeated value is that value (±precision).
     #[test]

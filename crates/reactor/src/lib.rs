@@ -8,8 +8,8 @@
 //!   parameterises;
 //! * [`waker`] — a self-pipe `Selector.wakeup()` analogue for cross-thread
 //!   event-loop interruption;
-//! * [`wheel`] — a wall-clock hierarchical deadline wheel (the live twin of
-//!   `desim::wheel`) backing per-connection lifecycle timers;
+//! * [`wheel`] — a wall-clock hierarchical deadline wheel backing
+//!   per-connection lifecycle timers;
 //! * [`backend`] — the [`Backend`] trait unifying readiness (epoll/poll)
 //!   and completion (submit/reap) engines under one event-loop body;
 //! * [`mock`] — a deterministic, fault-injecting mock-completion backend

@@ -140,6 +140,7 @@ fn live_pool_exhaustion_throttles_throughput() {
         content: Arc::clone(&content),
     })
     .unwrap();
+    let pool_hists = pool.stage_hists();
     let pool_report = loadgen::run(&quick_load(pool.addr(), 3), &fs);
     pool.shutdown();
 
@@ -152,6 +153,7 @@ fn live_pool_exhaustion_throttles_throughput() {
         content,
     })
     .unwrap();
+    let nio_hists = nio.stage_hists();
     let nio_report = loadgen::run(&quick_load(nio.addr(), 3), &fs);
     nio.shutdown();
 
@@ -161,4 +163,10 @@ fn live_pool_exhaustion_throttles_throughput() {
         nio_report.throughput_rps(),
         pool_report.throughput_rps()
     );
+    // Both servers merge their workers' stage histograms on shutdown; a
+    // loaded run must have populated the parse stage at least.
+    for (arch, hists) in [("pool", pool_hists), ("nio", nio_hists)] {
+        let parsed = hists.lock().stage(obs::Stage::Parse).count();
+        assert!(parsed > 0, "{arch}: empty parse-stage histogram after load");
+    }
 }
