@@ -39,13 +39,8 @@
 //!                             # time oracle, handoff-nio, sharded-nio, and
 //!                             # poolserver; replays tests/corpus/, checks
 //!                             # transition coverage, and proves the harness
-//!                             # has teeth via seeded mutations. Repeats per
-//!                             # reactor backend (epoll, mock-completion,
-//!                             # io_uring when the kernel grants a ring)
+//!                             # has teeth via seeded mutations
 //!   repro conformance --smoke # CI-sized sweep, same gates
-//!   repro conformance --backend mock-completion
-//!                             # pin the nio legs to one backend (io_uring
-//!                             # skips, not fails, when unavailable)
 //!   repro list                # print the catalog and exit
 //!
 //! Output per figure: the data table (one row per client count, one column
@@ -56,6 +51,10 @@ use experiments::catalog::EXTENSION_IDS;
 use experiments::{best_config_table, render_sensitivity, run_sensitivity, BestConfigTable};
 use metrics::Json;
 use std::io::Write as _;
+
+const USAGE: &str = "usage: repro [observe] [all | ext | everything | list | chaos | scale | \
+    resilience | fleet | conformance | fig1a ...] [--quick] [--smoke] [--sharded] [--json PATH] \
+    [--csv PATH]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -68,9 +67,6 @@ fn main() {
     let mut fleet_mode = false;
     let mut conformance_mode = false;
     let mut smoke = false;
-    // `conformance --backend X` pins the nio legs to one reactor backend;
-    // without it the sweep walks the whole backend matrix.
-    let mut conf_backend: Option<String> = None;
     // Accept path for event-driven sweeps: --sharded wins, else the
     // REPRO_ACCEPT_MODE env var (the CI matrix axis), else handoff.
     let mut accept_mode = faults::AcceptMode::from_env();
@@ -88,17 +84,6 @@ fn main() {
             "resilience" => resilience_mode = true,
             "fleet" => fleet_mode = true,
             "conformance" => conformance_mode = true,
-            "--backend" => {
-                i += 1;
-                conf_backend = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| {
-                            eprintln!("--backend requires a name (epoll | mock-completion | io_uring)");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
             "--json" => {
                 i += 1;
                 json_path = Some(
@@ -132,9 +117,7 @@ fn main() {
                 std::process::exit(0);
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [observe] [all | ext | everything | chaos | fleet | conformance | fig1a ...] [--quick] [--smoke] [--sharded] [--json PATH]"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(0);
             }
             "all" => ids.extend(ALL_FIGURE_IDS.iter().map(|s| s.to_string())),
@@ -183,43 +166,15 @@ fn main() {
         return;
     }
     if conformance_mode {
-        use experiments::BackendKind;
         let start = std::time::Instant::now();
-        // The backend matrix: `--backend X` pins one; otherwise the sweep
-        // repeats per backend — epoll and mock-completion always, io_uring
-        // when the kernel grants a ring (best-effort: absent ≠ failure).
-        let backends: Vec<BackendKind> = match &conf_backend {
-            Some(name) => {
-                let Some(kind) = BackendKind::parse(name) else {
-                    eprintln!("unknown backend '{name}' (epoll | mock-completion | io_uring)");
-                    std::process::exit(2);
-                };
-                if kind == BackendKind::IoUring && !experiments::io_uring_available() {
-                    println!("io_uring unavailable on this kernel — skipping (not a failure)");
-                    return;
-                }
-                vec![kind]
-            }
-            None => {
-                let mut v = vec![BackendKind::Epoll, BackendKind::MockCompletion];
-                if experiments::io_uring_available() {
-                    v.push(BackendKind::IoUring);
-                }
-                v
-            }
-        };
-        let mut failed = 0usize;
-        let mut sequences = 0u64;
-        for kind in backends {
-            let report = experiments::run_conformance_with(smoke, kind);
-            println!("{}", experiments::render_conformance(&report));
-            let checks = experiments::conformance_checks(&report);
-            println!("{}", render_checks(&checks));
-            failed += checks.iter().filter(|c| !c.pass).count();
-            sequences += report.sequences;
-        }
+        let report = experiments::run_conformance(smoke);
+        println!("{}", experiments::render_conformance(&report));
+        let checks = experiments::conformance_checks(&report);
+        println!("{}", render_checks(&checks));
+        let failed = checks.iter().filter(|c| !c.pass).count();
         println!(
-            "  ({sequences} sequences across 4 legs, {:.1}s)\n",
+            "  ({} sequences, {:.1}s)\n",
+            report.sequences,
             start.elapsed().as_secs_f64()
         );
         if failed > 0 {
@@ -287,7 +242,7 @@ fn main() {
         return;
     }
     if ids.is_empty() {
-        eprintln!("usage: repro [all | ext | everything | chaos | fig1a ...] [--quick] [--smoke] [--json PATH]");
+        eprintln!("{USAGE}");
         std::process::exit(2);
     }
     ids.dedup();

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 use crate::checks::Check;
 use desim::Rng;
 use httpcore::{ContentStore, LifecyclePolicy};
-use nioserver::{AcceptMode, NioConfig, NioServer, BackendKind};
+use nioserver::{AcceptMode, BackendKind, NioConfig, NioServer};
 use poolserver::{PoolConfig, PoolServer};
 use protomodel::{
     diff, generate, parse_sequence, run_sequence, serialize_sequence, Mutation, ModelCtx, Oracle,
@@ -84,8 +84,6 @@ pub struct CoverageRow {
 #[derive(Debug)]
 pub struct ConformanceReport {
     pub scale: &'static str,
-    /// Reactor backend the nio legs ran on (`BackendKind::label()`).
-    pub backend: &'static str,
     pub sequences: u64,
     pub episodes: u64,
     pub corpus: Vec<String>,
@@ -128,22 +126,14 @@ fn conformance_content() -> Arc<ContentStore> {
 }
 
 impl ConformanceRig {
-    /// Epoll-backed rig — the paper-faithful default.
     pub fn start() -> ConformanceRig {
-        ConformanceRig::start_with(BackendKind::Epoll)
-    }
-
-    /// Rig with both nio legs on the given reactor backend. The pool leg
-    /// has no reactor and is unaffected — it doubles as a fixed reference
-    /// point across backend runs.
-    pub fn start_with(backend: BackendKind) -> ConformanceRig {
         let content = conformance_content();
         let policy = conformance_policy();
         let ctx = ModelCtx::new(Arc::clone(&content), policy);
         let nio = |accept: AcceptMode| {
             NioServer::start(NioConfig {
                 workers: 2,
-                backend,
+                backend: BackendKind::Epoll,
                 accept,
                 shed_watermark: None,
                 lifecycle: policy,
@@ -228,15 +218,9 @@ pub fn corpus_entries() -> Vec<(String, Sequence)> {
 /// across all live legs, coverage accounting, and the mutation teeth
 /// checks.
 pub fn run_conformance(smoke: bool) -> ConformanceReport {
-    run_conformance_with(smoke, BackendKind::Epoll)
-}
-
-/// Same sweep with the nio legs pinned to a specific reactor backend —
-/// the cross-backend conformance matrix runs this once per backend.
-pub fn run_conformance_with(smoke: bool, backend: BackendKind) -> ConformanceReport {
     let t0 = Instant::now();
     let n = if smoke { SMOKE_SEQUENCES } else { FULL_SEQUENCES };
-    let rig = ConformanceRig::start_with(backend);
+    let rig = ConformanceRig::start();
     let corpus = corpus_entries();
 
     let mut divergences: Vec<Divergence> = Vec::new();
@@ -350,7 +334,6 @@ pub fn run_conformance_with(smoke: bool, backend: BackendKind) -> ConformanceRep
     rig.shutdown();
     ConformanceReport {
         scale: if smoke { "smoke" } else { "full" },
-        backend: backend.label(),
         sequences: n + corpus.len() as u64,
         episodes,
         corpus: corpus.into_iter().map(|(n, _)| n).collect(),
@@ -409,10 +392,7 @@ fn mutation_teeth(rig: &ConformanceRig, m: Mutation) -> MutationFinding {
 pub fn conformance_checks(r: &ConformanceReport) -> Vec<Check> {
     let mut checks = vec![
         Check::new(
-            &format!(
-                "[{}] zero outcome divergence (oracle vs handoff-nio vs sharded-nio vs poolserver)",
-                r.backend
-            ),
+            "zero outcome divergence (oracle vs handoff-nio vs sharded-nio vs poolserver)",
             r.divergences.is_empty(),
             if r.divergences.is_empty() {
                 format!("{} sequences, {} episodes agree", r.sequences, r.episodes)
@@ -438,7 +418,7 @@ pub fn conformance_checks(r: &ConformanceReport) -> Vec<Check> {
     for mf in &r.mutations {
         let ok = mf.witness_seed.is_some() && mf.live_confirmed && mf.shrunk_ops <= 3;
         checks.push(Check::new(
-            &format!("[{}] mutation caught and shrunk: {}", r.backend, mf.mutation),
+            &format!("mutation caught and shrunk: {}", mf.mutation),
             ok,
             format!(
                 "witness {:?}, {} → {} ops, live-confirmed: {}",
@@ -453,9 +433,8 @@ pub fn conformance_checks(r: &ConformanceReport) -> Vec<Check> {
 pub fn render_conformance(r: &ConformanceReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "## Protocol conformance ({}, backend {}) — {} sequences, {} episodes, {:.1}s\n\n",
+        "## Protocol conformance ({}) — {} sequences, {} episodes, {:.1}s\n\n",
         r.scale,
-        r.backend,
         r.sequences,
         r.episodes,
         r.wall.as_secs_f64()

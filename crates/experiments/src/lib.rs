@@ -42,11 +42,9 @@ pub use capacity::{
 };
 pub use catalog::{Campaign, LinkSetup, Scale, ALL_FIGURE_IDS};
 pub use conformance::{
-    conformance_checks, corpus_entries, render_conformance, run_conformance,
-    run_conformance_with, ConformanceReport, ConformanceRig, CoverageRow, Divergence,
-    MutationFinding, FULL_SEQUENCES, SMOKE_SEQUENCES,
+    conformance_checks, corpus_entries, render_conformance, run_conformance, ConformanceReport,
+    ConformanceRig, CoverageRow, Divergence, MutationFinding, FULL_SEQUENCES, SMOKE_SEQUENCES,
 };
-pub use nioserver::{io_uring_available, BackendKind};
 pub use chaos::{render_chaos, run_chaos, ChaosReport, ChaosRun};
 pub use fleet::{
     fleet_jsonl, render_fleet, run_fleet_matrix, FleetReport, FleetRun, FLEET_SCENARIOS,

@@ -158,7 +158,7 @@ impl Server {
             Server::Nio(
                 nioserver::NioServer::start(nioserver::NioConfig {
                     workers: 1,
-                    backend: nioserver::BackendKind::from_env(),
+                    backend: nioserver::BackendKind::Epoll,
                     accept: nioserver::AcceptMode::from_env(),
                     shed_watermark: None,
                     lifecycle,

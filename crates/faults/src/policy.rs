@@ -34,14 +34,27 @@ impl AcceptMode {
         }
     }
 
+    /// Parse a label (case-insensitive): `handoff` | `sharded`.
+    pub fn parse(s: &str) -> Option<AcceptMode> {
+        let s = s.trim();
+        [AcceptMode::Handoff, AcceptMode::Sharded]
+            .into_iter()
+            .find(|m| s.eq_ignore_ascii_case(m.label()))
+    }
+
     /// Read the mode from `REPRO_ACCEPT_MODE` (`handoff` | `sharded`,
-    /// case-insensitive). Unset or unrecognised values fall back to
-    /// `Handoff`, the paper-faithful default.
+    /// case-insensitive). Unset means `Handoff`, the paper-faithful
+    /// default. Any other value panics: a mistyped CI matrix axis must fail
+    /// the run, not quietly run the handoff path twice.
     pub fn from_env() -> AcceptMode {
-        match std::env::var(ACCEPT_MODE_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("sharded") => AcceptMode::Sharded,
-            _ => AcceptMode::Handoff,
-        }
+        let Some(raw) = std::env::var_os(ACCEPT_MODE_ENV) else {
+            return AcceptMode::Handoff;
+        };
+        raw.to_str().and_then(AcceptMode::parse).unwrap_or_else(|| {
+            panic!(
+                "{ACCEPT_MODE_ENV}={raw:?} is not an accept mode (expected `handoff` or `sharded`)"
+            )
+        })
     }
 }
 
@@ -154,6 +167,37 @@ mod tests {
     #[test]
     fn admission_default_is_inert() {
         assert!(!AdmissionControl::default().is_active());
+    }
+
+    #[test]
+    fn accept_mode_env_rejects_typos() {
+        // The only test in this crate that touches the variable; it puts
+        // back whatever the CI matrix leg set.
+        let saved = std::env::var_os(ACCEPT_MODE_ENV);
+        std::env::remove_var(ACCEPT_MODE_ENV);
+        assert_eq!(AcceptMode::from_env(), AcceptMode::Handoff, "unset");
+        for (v, want) in [
+            ("handoff", AcceptMode::Handoff),
+            ("Sharded", AcceptMode::Sharded),
+            (" SHARDED ", AcceptMode::Sharded),
+        ] {
+            std::env::set_var(ACCEPT_MODE_ENV, v);
+            assert_eq!(AcceptMode::from_env(), want, "{v:?}");
+        }
+        std::env::set_var(ACCEPT_MODE_ENV, "shraded");
+        let typo = std::panic::catch_unwind(AcceptMode::from_env);
+        match saved {
+            Some(v) => std::env::set_var(ACCEPT_MODE_ENV, v),
+            None => std::env::remove_var(ACCEPT_MODE_ENV),
+        }
+        let err = typo.expect_err("a mistyped mode must not fall back to handoff");
+        let msg = err
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            msg.contains("shraded") && msg.contains("`handoff` or `sharded`"),
+            "{msg}"
+        );
     }
 
     proptest! {

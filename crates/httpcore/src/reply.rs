@@ -151,38 +151,6 @@ impl ReplyQueue {
         }
     }
 
-    /// Copy up to `max` unwritten bytes into `out` (appending), starting
-    /// at the cursor, without advancing it. This is the completion-backend
-    /// read side of the queue: a submit/reap engine owns its write buffer
-    /// for the op's whole lifetime, so it peeks a chunk, submits it, and
-    /// [`consume`](ReplyQueue::consume)s only what the completion reports
-    /// written — a short write leaves the cursor mid-chunk, exactly like a
-    /// short `writev` on the readiness path. Returns bytes copied.
-    pub fn peek(&self, out: &mut Vec<u8>, max: usize) -> usize {
-        let mut want = max.min(self.pending);
-        let copied = want;
-        let mut front_pos = self.front_pos;
-        for seg in self.segs.iter() {
-            if want == 0 {
-                break;
-            }
-            let bytes = &seg.as_bytes()[front_pos..];
-            front_pos = 0;
-            let take = bytes.len().min(want);
-            out.extend_from_slice(&bytes[..take]);
-            want -= take;
-        }
-        copied
-    }
-
-    /// Advance the cursor past `n` bytes a completion reported written,
-    /// retiring fully consumed segments into `pool`. `n` beyond `pending`
-    /// is clamped (a completion can never write bytes that were not
-    /// staged, but defensive callers need not pre-check).
-    pub fn consume(&mut self, n: usize, pool: &mut HeadPool) {
-        self.advance(n.min(self.pending), pool);
-    }
-
     /// One vectored write of everything staged (up to [`MAX_IOVECS`]
     /// segments), resuming from the cursor. Returns the byte count the
     /// kernel accepted; `Ok(0)` only when the queue was already empty.
@@ -379,99 +347,6 @@ mod tests {
             pool.give(Vec::with_capacity(8));
         }
         assert!(pool.spare_count() <= 64, "pool must stay bounded");
-    }
-
-    /// Drain via the completion-backend path: peek a chunk, pretend the
-    /// "kernel" completed only part of it, consume that part, repeat. The
-    /// chunk and completion sizes walk every misalignment between peeked
-    /// spans and consumed spans.
-    fn drain_completion_style(
-        queue: &mut ReplyQueue,
-        pool: &mut HeadPool,
-        mut next_len: impl FnMut(usize) -> usize,
-    ) -> Vec<u8> {
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        while !queue.is_empty() {
-            scratch.clear();
-            let chunk = next_len(queue.pending()).max(1);
-            let peeked = queue.peek(&mut scratch, chunk);
-            assert_eq!(peeked, scratch.len());
-            assert!(peeked > 0, "pending queue must yield bytes");
-            // Short completion: the op wrote only a prefix of the chunk.
-            let wrote = next_len(peeked).max(1).min(peeked);
-            out.extend_from_slice(&scratch[..wrote]);
-            queue.consume(wrote, pool);
-        }
-        out
-    }
-
-    #[test]
-    fn peek_consume_matches_writev_path_under_arbitrary_chunking() {
-        let s = store();
-        let mut lcg = 0x2545_F491u64;
-        let mut rand = move |cap: usize| {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            ((lcg >> 33) as usize % cap.max(1)) + 1
-        };
-        for trial in 0..8 {
-            let mut q = ReplyQueue::new();
-            let mut pool = HeadPool::new();
-            let mut expect = Vec::new();
-            for id in 0..5u32 {
-                let head = format!("HEAD-{trial}-{id}\r\n\r\n").into_bytes();
-                let body = s.body_slice(FileId(id));
-                expect.extend_from_slice(&head);
-                expect.extend_from_slice(body.as_bytes());
-                q.push_head(head, &mut pool);
-                q.push_body(body);
-            }
-            let got = drain_completion_style(&mut q, &mut pool, &mut rand);
-            assert_eq!(got, expect, "trial {trial}");
-            assert!(q.is_empty());
-        }
-    }
-
-    #[test]
-    fn peek_does_not_advance_the_cursor() {
-        let mut q = ReplyQueue::new();
-        let mut pool = HeadPool::new();
-        q.push_head(b"0123456789".to_vec(), &mut pool);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        assert_eq!(q.peek(&mut a, 4), 4);
-        assert_eq!(q.peek(&mut b, 4), 4);
-        assert_eq!(a, b, "repeated peeks see the same front bytes");
-        assert_eq!(q.pending(), 10);
-        // Only consume moves the window.
-        q.consume(4, &mut pool);
-        let mut c = Vec::new();
-        assert_eq!(q.peek(&mut c, 16), 6);
-        assert_eq!(c, b"456789");
-    }
-
-    #[test]
-    fn peek_spans_segment_boundaries_and_consume_recycles_heads() {
-        let s = store();
-        let mut q = ReplyQueue::new();
-        let mut pool = HeadPool::new();
-        let head = b"HH".to_vec();
-        let body = s.body_slice(FileId(2));
-        let mut expect = head.clone();
-        expect.extend_from_slice(body.as_bytes());
-        q.push_head(head, &mut pool);
-        q.push_body(body);
-        // One peek crossing the head/body boundary.
-        let mut out = Vec::new();
-        assert_eq!(q.peek(&mut out, 10), 10);
-        assert_eq!(out, expect[..10]);
-        // Consuming past the head retires it into the pool.
-        q.consume(10, &mut pool);
-        assert_eq!(pool.spare_count(), 1);
-        // Over-consume clamps at pending.
-        let left = q.pending();
-        q.consume(left + 1000, &mut pool);
-        assert!(q.is_empty());
     }
 
     #[test]

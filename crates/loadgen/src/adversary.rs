@@ -387,7 +387,7 @@ mod tests {
     fn hardened_nio() -> nioserver::NioServer {
         nioserver::NioServer::start(nioserver::NioConfig {
             workers: 1,
-            backend: nioserver::BackendKind::from_env(),
+            backend: nioserver::BackendKind::Epoll,
             accept: nioserver::AcceptMode::from_env(),
             shed_watermark: None,
             lifecycle: LifecyclePolicy::hardened(
@@ -437,7 +437,7 @@ mod tests {
         // the resilience harness measures the cost of.
         let server = nioserver::NioServer::start(nioserver::NioConfig {
             workers: 1,
-            backend: nioserver::BackendKind::from_env(),
+            backend: nioserver::BackendKind::Epoll,
             accept: nioserver::AcceptMode::from_env(),
             shed_watermark: None,
             lifecycle: LifecyclePolicy::default(),

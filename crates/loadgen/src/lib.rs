@@ -617,7 +617,7 @@ mod tests {
         let content = Arc::new(ContentStore::from_fileset(&files));
         let server = nioserver::NioServer::start(nioserver::NioConfig {
             workers: 2,
-            backend: nioserver::BackendKind::from_env(),
+            backend: nioserver::BackendKind::Epoll,
             accept: nioserver::AcceptMode::from_env(),
             shed_watermark: None,
             lifecycle: httpcore::LifecyclePolicy::default(),
@@ -693,7 +693,7 @@ mod tests {
         let content = Arc::new(ContentStore::from_fileset(&files));
         let server = nioserver::NioServer::start(nioserver::NioConfig {
             workers: 2,
-            backend: nioserver::BackendKind::from_env(),
+            backend: nioserver::BackendKind::Epoll,
             accept: nioserver::AcceptMode::from_env(),
             shed_watermark: None,
             lifecycle: httpcore::LifecyclePolicy::default(),

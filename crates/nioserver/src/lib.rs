@@ -42,7 +42,7 @@
 //! [`obs::LiveEnds`] tally.
 
 pub use faults::AcceptMode;
-pub use reactor::{io_uring_available, BackendKind, BACKEND_ENV};
+pub use reactor::BackendKind;
 
 use connslab::{Handle, Slab};
 use faults::DrainReport;
@@ -52,8 +52,7 @@ use httpcore::{
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Stage, StageHists};
 use parking_lot::Mutex;
-use reactor::backend::{Backend, Cqe, CqeKind, SubmitError};
-use reactor::{DeadlineWheel, EpollSelector, Interest, Selector, Token, Waker};
+use reactor::{DeadlineWheel, EpollSelector, Event, Interest, Selector, Token, Waker};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, FromRawFd};
@@ -66,9 +65,8 @@ use std::time::{Duration, Instant};
 pub struct NioConfig {
     /// Worker (selector) threads. The paper's headline: 1–2 suffice.
     pub workers: usize,
-    /// I/O engine per worker: readiness (`Epoll`, `Poll` — the paper's
-    /// selector pair) or completion (`MockCompletion`, `IoUring`) semantics,
-    /// all driven through one event-loop body.
+    /// Readiness selector per worker: `Epoll` (O(ready)) or `Poll`
+    /// (O(registered)) — the paper's selector pair.
     pub backend: BackendKind,
     /// How connections reach a worker: `Handoff` (one acceptor thread, the
     /// paper's nio) or `Sharded` (per-worker `SO_REUSEPORT` listeners).
@@ -844,16 +842,8 @@ struct Conn {
     /// every pass while the flush is still in flight.
     peer_half_closed: bool,
     /// Interest currently registered with the selector — cached so the hot
-    /// path only pays a `reregister` syscall on an actual change. Readiness
-    /// backends only; completion backends imply interest by submitted ops.
+    /// path only pays a `reregister` syscall on an actual change.
     registered: Interest,
-    /// Completion backends: a read op is in flight (at most one per
-    /// connection, mirroring read interest on the readiness path).
-    read_inflight: bool,
-    /// Completion backends: a write op is in flight (at most one per
-    /// connection). While set, the submitted chunk's bytes are still
-    /// staged in `out` — [`ReplyQueue::consume`] runs only on `WriteDone`.
-    write_inflight: bool,
     /// Last observed progress (read bytes or write drain), ns since the
     /// worker epoch. The idle deadline slides from here.
     last_activity_ns: u64,
@@ -983,7 +973,7 @@ struct ShardState {
 #[allow(clippy::too_many_arguments)]
 fn install_conn(
     stream: TcpStream,
-    backend: &mut dyn Backend,
+    selector: &mut dyn Selector,
     conns: &mut Slab<Conn>,
     gauges: &LiveGauges,
     deadlines_on: bool,
@@ -999,16 +989,14 @@ fn install_conn(
         close_after_flush: false,
         peer_half_closed: false,
         registered: Interest::READABLE,
-        read_inflight: false,
-        write_inflight: false,
         last_activity_ns: 0,
         last_write_progress_ns: 0,
         bytes_flushed: 0,
         head_start_ns: 0,
         armed_until: u64::MAX,
     });
-    if backend
-        .register_conn(fd, Token(handle.raw() as usize), Interest::READABLE)
+    if selector
+        .register(fd, Token(handle.raw() as usize), Interest::READABLE)
         .is_err()
     {
         conns.remove(handle);
@@ -1042,15 +1030,11 @@ fn worker_loop(
         cell,
     } = seat;
     stats.alive_workers.fetch_add(1, Ordering::SeqCst);
-    // One backend per worker: readiness (epoll/poll `Ready` events, worker
-    // does its own non-blocking I/O) or completion (submit/reap with
-    // backend-owned buffers). `IoUring` may fall back to epoll readiness
-    // when the kernel refuses the ring — `is_completion` reflects what
-    // actually runs.
-    let mut backend: Box<dyn Backend> = reactor::backend::create(cfg.backend);
-    let completion = backend.is_completion();
-    backend
-        .register_poll(waker.read_fd(), WAKER_TOKEN, Interest::READABLE)
+    // One level-triggered selector per worker; the worker does its own
+    // non-blocking I/O on every reported event.
+    let mut selector = cfg.backend.selector().expect("create selector");
+    selector
+        .register(waker.read_fd(), WAKER_TOKEN, Interest::READABLE)
         .expect("register waker");
     // Sharded mode: this worker is a shard. Its listener starts
     // deregistered; the reconcile step below registers it on the first loop
@@ -1069,13 +1053,8 @@ fn worker_loop(
     // and per-connection storage is dense — no hash table, no rehash spikes
     // at a million entries.
     let mut conns: Slab<Conn> = Slab::new();
-    let mut events: Vec<Cqe> = Vec::new();
+    let mut events: Vec<Event> = Vec::new();
     let mut read_buf = vec![0u8; 64 * 1024];
-    // Completion-path staging: `write_scratch` receives `ReplyQueue::peek`
-    // chunks for `submit_write`; `pump_retry` holds tokens whose submission
-    // hit a full SQ, retried after the next wait drains it.
-    let mut write_scratch: Vec<u8> = Vec::new();
-    let mut pump_retry: Vec<Token> = Vec::new();
     let mut date = httpcore::now_http_date();
     let mut date_refresh = std::time::Instant::now();
     let mut last_ready = 0usize;
@@ -1146,7 +1125,7 @@ fn worker_loop(
             gauges.sub(GaugeKind::AcceptBacklog, 1);
             if let Some(h) = install_conn(
                 stream,
-                backend.as_mut(),
+                selector.as_mut(),
                 &mut conns,
                 &gauges,
                 deadlines_on,
@@ -1156,20 +1135,6 @@ fn worker_loop(
             ) {
                 if drain_swept {
                     drain_pending.push(h);
-                }
-                if completion {
-                    // Arm the first read now — a completion backend reports
-                    // nothing for a connection with no op in flight.
-                    let token = Token(h.raw() as usize);
-                    if let Some(conn) = conns.get_mut(h) {
-                        pump_conn(
-                            backend.as_mut(),
-                            conn,
-                            token,
-                            &mut write_scratch,
-                            &mut pump_retry,
-                        );
-                    }
                 }
             }
         }
@@ -1188,7 +1153,7 @@ fn worker_loop(
                     for l in orphans.drain(..) {
                         if s.registered {
                             let tok = Token(LISTENER_TOKEN_BASE + s.listeners.len());
-                            let _ = backend.register_poll(l.as_raw_fd(), tok, Interest::READABLE);
+                            let _ = selector.register(l.as_raw_fd(), tok, Interest::READABLE);
                         }
                         s.listeners.push(l);
                     }
@@ -1199,7 +1164,7 @@ fn worker_loop(
                 // connections from here on (the handoff analogue is the
                 // acceptor thread exiting and dropping the listen socket).
                 for l in &s.listeners {
-                    let _ = backend.deregister(l.as_raw_fd());
+                    let _ = selector.deregister(l.as_raw_fd());
                 }
                 s.listeners.clear();
                 s.registered = false;
@@ -1211,9 +1176,9 @@ fn worker_loop(
                 for (i, l) in s.listeners.iter().enumerate() {
                     if want {
                         let tok = Token(LISTENER_TOKEN_BASE + i);
-                        let _ = backend.register_poll(l.as_raw_fd(), tok, Interest::READABLE);
+                        let _ = selector.register(l.as_raw_fd(), tok, Interest::READABLE);
                     } else {
-                        let _ = backend.deregister(l.as_raw_fd());
+                        let _ = selector.deregister(l.as_raw_fd());
                     }
                 }
                 s.registered = want;
@@ -1231,7 +1196,7 @@ fn worker_loop(
         events.clear();
         // The waker interrupts this wait the moment a connection is handed
         // over; the 100 ms ceiling only bounds shutdown latency.
-        let _ = backend.wait(&mut events, Some(Duration::from_millis(100)));
+        let _ = selector.select(&mut events, Some(Duration::from_millis(100)));
         // Publish this worker's ready-set size; add-then-sub keeps the
         // shared (multi-worker) total from transiently saturating at zero.
         let ready = events.iter().filter(|e| e.token != WAKER_TOKEN).count();
@@ -1245,30 +1210,11 @@ fn worker_loop(
         } else {
             0
         };
-        // SQ-full backpressure: `wait` just drained the submission queue,
-        // so tokens parked by an earlier refused submission pump again now.
-        // A token whose connection died in the meantime is stale by
-        // generation and skips for free.
-        if !pump_retry.is_empty() {
-            let parked = std::mem::take(&mut pump_retry);
-            for token in parked {
-                if let Some(conn) = conns.get_mut(Handle::from_raw(token.0 as u64)) {
-                    pump_conn(
-                        backend.as_mut(),
-                        conn,
-                        token,
-                        &mut write_scratch,
-                        &mut pump_retry,
-                    );
-                }
-            }
-        }
         // Drain the event buffer in place: the `Vec` keeps its capacity
         // across iterations instead of being discarded and regrown from
-        // zero every loop (`ReadDone` carries an owned buffer, so this is a
-        // move-out drain, not a copy scan).
-        for cqe in events.drain(..) {
-            let ev_token = cqe.token;
+        // zero every loop.
+        for ev in events.drain(..) {
+            let ev_token = ev.token;
             if ev_token == WAKER_TOKEN {
                 waker.drain();
                 continue;
@@ -1301,7 +1247,7 @@ fn worker_loop(
                             };
                             if let Some(h) = install_conn(
                                 stream,
-                                backend.as_mut(),
+                                selector.as_mut(),
                                 &mut conns,
                                 &gauges,
                                 deadlines_on,
@@ -1312,18 +1258,6 @@ fn worker_loop(
                                 s.cell.on_accept();
                                 if drain_swept {
                                     drain_pending.push(h);
-                                }
-                                if completion {
-                                    let token = Token(h.raw() as usize);
-                                    if let Some(conn) = conns.get_mut(h) {
-                                        pump_conn(
-                                            backend.as_mut(),
-                                            conn,
-                                            token,
-                                            &mut write_scratch,
-                                            &mut pump_retry,
-                                        );
-                                    }
                                 }
                             }
                         }
@@ -1341,7 +1275,7 @@ fn worker_loop(
                                 stats.accept_errors.fetch_add(1, Ordering::Relaxed);
                                 ends.record(EndCause::FdReserve);
                                 for l in &s.listeners {
-                                    let _ = backend.deregister(l.as_raw_fd());
+                                    let _ = selector.deregister(l.as_raw_fd());
                                 }
                                 s.registered = false;
                                 s.resume_at = Some(Instant::now() + s.backoff);
@@ -1360,105 +1294,37 @@ fn worker_loop(
             // The token *is* the packed slab handle: a generation-checked
             // indexed load resolves the connection, and an event raced
             // against a close (even one whose slot was already reused) is a
-            // clean miss, never an aliased lookup. A missed `ReadDone` still
-            // owes its backend-owned buffer back to the pool.
+            // clean miss, never an aliased lookup.
             let handle = Handle::from_raw(ev_token.0 as u64);
             let Some(conn) = conns.get_mut(handle) else {
-                if let CqeKind::ReadDone { buf, .. } = cqe.kind {
-                    backend.recycle(buf);
-                }
                 continue;
             };
             let flushed_before = conn.bytes_flushed;
             let had_output = conn.wants_write();
-            let mut dead = false;
-            match cqe.kind {
-                CqeKind::Ready {
-                    readable,
-                    writable,
-                    error,
-                } => {
-                    // An error/hang-up event with nothing readable is fatal
-                    // — except on a half-closed connection, where EPOLLRDHUP
-                    // is permanently asserted by the peer's FIN and the
-                    // connection must stay alive exactly as long as it still
-                    // owes output.
-                    dead = error && !readable && !(conn.peer_half_closed && writable);
-                    if readable && !dead {
-                        dead = handle_readable(
-                            conn,
-                            &cfg,
-                            &stats,
-                            &ends,
-                            &mut read_buf,
-                            &date,
-                            &mut local_hists,
-                            &mut head_pool,
-                            &mut req_pool,
-                        );
-                    }
-                    if writable && !dead {
-                        // Writability means queued output: this flush burst
-                        // is transfer time by definition.
-                        let t0 = Instant::now();
-                        dead = flush_output(conn, &stats, &mut head_pool);
-                        local_hists.record(Stage::Transfer, t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                CqeKind::ReadDone { buf, n, err } => {
-                    conn.read_inflight = false;
-                    match err {
-                        // No progress (spurious completion) or a late cancel
-                        // racing a teardown that didn't happen: benign, the
-                        // pump below resubmits.
-                        Some(reactor::backend::EAGAIN) | Some(reactor::backend::ECANCELED) => {}
-                        Some(_) => dead = true,
-                        None if n == 0 => {
-                            // Clean EOF — the completion-model twin of the
-                            // readiness path's `read() == 0` (see
-                            // `handle_readable`): serve what was pipelined,
-                            // flush what is owed, then close.
-                            conn.peer_half_closed = true;
-                            conn.close_after_flush = true;
-                            dead = !conn.wants_write();
-                        }
-                        None => {
-                            process_input(
-                                conn,
-                                &cfg,
-                                &stats,
-                                &ends,
-                                &buf[..n],
-                                &date,
-                                &mut local_hists,
-                                &mut head_pool,
-                                &mut req_pool,
-                            );
-                        }
-                    }
-                    backend.recycle(buf);
-                }
-                CqeKind::WriteDone { n, err } => {
-                    conn.write_inflight = false;
-                    match err {
-                        // EAGAIN: the submitted copy is consumed but zero
-                        // bytes moved; the queue cursor did not advance, so
-                        // the pump re-peeks the identical bytes.
-                        Some(reactor::backend::EAGAIN) | Some(reactor::backend::ECANCELED) => {}
-                        Some(_) => dead = true,
-                        None => {
-                            // Possibly short: consume exactly what the op
-                            // wrote — the cursor slides mid-chunk just like
-                            // a short `writev` — and the next pump submits
-                            // the remainder.
-                            let t0 = Instant::now();
-                            conn.out.consume(n, &mut head_pool);
-                            stats.bytes_sent.fetch_add(n as u64, Ordering::Relaxed);
-                            conn.bytes_flushed += n as u64;
-                            local_hists.record(Stage::Transfer, t0.elapsed().as_nanos() as u64);
-                        }
-                    }
-                }
+            // An error/hang-up event with nothing readable is fatal — except
+            // on a half-closed connection, where EPOLLRDHUP is permanently
+            // asserted by the peer's FIN and the connection must stay alive
+            // exactly as long as it still owes output.
+            let mut dead = ev.error && !ev.readable && !(conn.peer_half_closed && ev.writable);
+            if ev.readable && !dead {
+                dead = handle_readable(
+                    conn,
+                    &cfg,
+                    &stats,
+                    &ends,
+                    &mut read_buf,
+                    &date,
+                    &mut local_hists,
+                    &mut head_pool,
+                    &mut req_pool,
+                );
+            }
+            if ev.writable && !dead {
+                // Writability means queued output: this flush burst is
+                // transfer time by definition.
+                let t0 = Instant::now();
+                dead = flush_output(conn, &stats, &mut head_pool);
+                local_hists.record(Stage::Transfer, t0.elapsed().as_nanos() as u64);
             }
             if !dead && !conn.wants_write() && conn.close_after_flush {
                 dead = true;
@@ -1501,33 +1367,20 @@ fn worker_loop(
                     }
                 }
                 let fd = conn.stream.as_raw_fd();
-                let _ = backend.deregister(fd);
+                let _ = selector.deregister(fd);
                 conns.remove(handle);
                 gauges.sub(GaugeKind::OpenConns, 1);
                 gauges.sub(GaugeKind::RegisteredConns, 1);
                 if let Some(s) = shard.as_ref() {
                     s.cell.on_close();
                 }
-            } else if completion {
-                // Completion model: interest is implied by in-flight ops —
-                // keep a read armed (unless the peer half-closed) and a
-                // write armed while output is owed. A live connection
-                // always has at least one op in flight, so it can never
-                // silently fall out of the event stream.
-                pump_conn(
-                    backend.as_mut(),
-                    conn,
-                    ev_token,
-                    &mut write_scratch,
-                    &mut pump_retry,
-                );
             } else {
                 // Only an actual interest change costs a syscall; the
                 // steady read-only request/reply cadence pays none.
                 let want = conn.interest();
                 if want != conn.registered {
                     let fd = conn.stream.as_raw_fd();
-                    if backend.set_interest(fd, ev_token, want).is_ok() {
+                    if selector.reregister(fd, ev_token, want).is_ok() {
                         conn.registered = want;
                     }
                 }
@@ -1585,7 +1438,7 @@ fn worker_loop(
                         ctl.drained.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                let _ = backend.deregister(conn.stream.as_raw_fd());
+                let _ = selector.deregister(conn.stream.as_raw_fd());
                 gauges.sub(GaugeKind::OpenConns, 1);
                 gauges.sub(GaugeKind::RegisteredConns, 1);
                 if let Some(s) = shard.as_ref() {
@@ -1636,7 +1489,7 @@ fn worker_loop(
                     } else {
                         ctl.drained.fetch_add(1, Ordering::SeqCst);
                     }
-                    let _ = backend.deregister(conn.stream.as_raw_fd());
+                    let _ = selector.deregister(conn.stream.as_raw_fd());
                     gauges.sub(GaugeKind::OpenConns, 1);
                     gauges.sub(GaugeKind::RegisteredConns, 1);
                     if let Some(s) = &shard {
@@ -1657,7 +1510,7 @@ fn worker_loop(
                     } else {
                         ctl.drained.fetch_add(1, Ordering::SeqCst);
                     }
-                    let _ = backend.deregister(conn.stream.as_raw_fd());
+                    let _ = selector.deregister(conn.stream.as_raw_fd());
                     gauges.sub(GaugeKind::OpenConns, 1);
                     gauges.sub(GaugeKind::RegisteredConns, 1);
                     if let Some(s) = &shard {
@@ -1674,107 +1527,8 @@ fn worker_loop(
     hists.lock().merge(&local_hists);
 }
 
-/// Feed freshly arrived request bytes through the parser and serve every
-/// complete request — the backend-agnostic middle of the read path, shared
-/// by the readiness loop (which read the bytes itself) and the completion
-/// loop (which got them from a `ReadDone` buffer). Flushing is the caller's
-/// job: readiness flushes opportunistically, completion submits a write op.
-#[allow(clippy::too_many_arguments)]
-fn process_input(
-    conn: &mut Conn,
-    cfg: &NioConfig,
-    stats: &NioStats,
-    ends: &LiveEnds,
-    data: &[u8],
-    date: &str,
-    hists: &mut StageHists,
-    head_pool: &mut HeadPool,
-    req_pool: &mut RequestPool,
-) {
-    // Stage clocks: feed+parse is the parse burst (restarted after each
-    // served request so pipelined requests each get their own sample), the
-    // response build is service.
-    let mut p0 = Instant::now();
-    conn.parser.feed(data);
-    loop {
-        match conn.parser.parse_pooled(req_pool) {
-            ParseOutcome::Complete(req) => {
-                hists.record(Stage::Parse, p0.elapsed().as_nanos() as u64);
-                let s0 = Instant::now();
-                serve(conn, cfg, stats, &req, date, head_pool);
-                // Return the request's allocations to the worker's pool for
-                // the next parse on *any* connection — idle connections
-                // hold no scratch.
-                req_pool.give(req);
-                hists.record(Stage::Service, s0.elapsed().as_nanos() as u64);
-                p0 = Instant::now();
-            }
-            ParseOutcome::Incomplete => break,
-            ParseOutcome::Error(e) => {
-                stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                // A tripped parser *limit* is a resource defense, not a
-                // syntax error: say so with 431 and count it in the
-                // lifecycle tally.
-                let status = match e {
-                    ParseError::LineTooLong | ParseError::TooManyHeaders => {
-                        ends.record(EndCause::ParseLimit);
-                        Status::RequestHeaderFieldsTooLarge
-                    }
-                    _ => Status::BadRequest,
-                };
-                respond_status(conn, status, date, head_pool);
-                conn.close_after_flush = true;
-                break;
-            }
-        }
-    }
-}
-
-/// How much staged output one completion write op carries. Big enough that
-/// a whole typical reply ships in one op, small enough to bound the
-/// per-submission copy (`submit_write` copies at submit time — the price of
-/// completion semantics over a caller-owned queue; registered buffers would
-/// remove it and are future work, see DESIGN.md §16).
-const WRITE_CHUNK: usize = 32 * 1024;
-
-/// Completion-model op upkeep for a live connection: keep exactly one read
-/// in flight (unless the peer half-closed — the submit/reap twin of
-/// dropping read interest) and one write while output is owed. A refused
-/// submission (`SqFull`) parks the token in `retry`; the caller re-pumps
-/// after the next `wait` drains the queue. Invariant: a live connection
-/// always leaves with ≥1 op in flight or its token parked, so it can never
-/// fall out of the event stream.
-fn pump_conn(
-    backend: &mut dyn Backend,
-    conn: &mut Conn,
-    token: Token,
-    scratch: &mut Vec<u8>,
-    retry: &mut Vec<Token>,
-) {
-    let fd = conn.stream.as_raw_fd();
-    let mut parked = false;
-    if !conn.write_inflight && conn.wants_write() {
-        scratch.clear();
-        conn.out.peek(scratch, WRITE_CHUNK);
-        match backend.submit_write(fd, token, scratch) {
-            Ok(()) => conn.write_inflight = true,
-            Err(SubmitError::SqFull) => parked = true,
-        }
-    }
-    if !conn.read_inflight && !conn.peer_half_closed {
-        match backend.submit_read(fd, token) {
-            Ok(()) => conn.read_inflight = true,
-            Err(SubmitError::SqFull) => parked = true,
-        }
-    }
-    if parked {
-        retry.push(token);
-    }
-}
-
-/// Drain the socket and serve every complete request — the readiness-model
-/// read path (the worker owns the syscalls). Returns true when the
-/// connection must be torn down.
+/// Drain the socket and serve every complete request. Returns true when
+/// the connection must be torn down.
 #[allow(clippy::too_many_arguments)]
 fn handle_readable(
     conn: &mut Conn,
@@ -1802,9 +1556,43 @@ fn handle_readable(
                 return !conn.wants_write();
             }
             Ok(n) => {
-                process_input(
-                    conn, cfg, stats, ends, &scratch[..n], date, hists, head_pool, req_pool,
-                );
+                // Stage clocks: feed+parse is the parse burst (restarted
+                // after each served request so pipelined requests each get
+                // their own sample), the response build is service.
+                let mut p0 = Instant::now();
+                conn.parser.feed(&scratch[..n]);
+                loop {
+                    match conn.parser.parse_pooled(req_pool) {
+                        ParseOutcome::Complete(req) => {
+                            hists.record(Stage::Parse, p0.elapsed().as_nanos() as u64);
+                            let s0 = Instant::now();
+                            serve(conn, cfg, stats, &req, date, head_pool);
+                            // Return the request's allocations to the
+                            // worker's pool for the next parse on *any*
+                            // connection — idle connections hold no scratch.
+                            req_pool.give(req);
+                            hists.record(Stage::Service, s0.elapsed().as_nanos() as u64);
+                            p0 = Instant::now();
+                        }
+                        ParseOutcome::Incomplete => break,
+                        ParseOutcome::Error(e) => {
+                            stats.parse_errors.fetch_add(1, Ordering::Relaxed);
+                            // A tripped parser *limit* is a resource
+                            // defense, not a syntax error: say so with 431
+                            // and count it in the lifecycle tally.
+                            let status = match e {
+                                ParseError::LineTooLong | ParseError::TooManyHeaders => {
+                                    ends.record(EndCause::ParseLimit);
+                                    Status::RequestHeaderFieldsTooLarge
+                                }
+                                _ => Status::BadRequest,
+                            };
+                            respond_status(conn, status, date, head_pool);
+                            conn.close_after_flush = true;
+                            break;
+                        }
+                    }
+                }
                 // Opportunistic write of what we just queued (timed as
                 // transfer only when there is output to move).
                 let had_output = conn.wants_write();
@@ -2684,20 +2472,15 @@ mod tests {
         server.shutdown();
     }
 
-    // ---- cross-backend matrix -------------------------------------------
+    // ---- cross-selector matrix ------------------------------------------
     //
-    // The same observable behaviour on every engine: readiness (epoll),
-    // deterministic mock completion (with fault injection), and — when the
-    // kernel cooperates — real io_uring. Each test below loops the full
-    // matrix so a semantic drift between the readiness and completion legs
-    // of the event loop fails by name.
+    // The same observable behaviour on both selectors: epoll (O(ready)) and
+    // poll(2) (O(registered)). Each test below loops the matrix so a drift
+    // between them — say, in how a half-close or an error-only event is
+    // reported — fails by name.
 
-    fn matrix_backends() -> Vec<BackendKind> {
-        let mut v = vec![BackendKind::Epoll, BackendKind::MockCompletion];
-        if reactor::io_uring_available() {
-            v.push(BackendKind::IoUring);
-        }
-        v
+    fn matrix_backends() -> [BackendKind; 2] {
+        [BackendKind::Epoll, BackendKind::Poll]
     }
 
     #[test]
@@ -2730,9 +2513,9 @@ mod tests {
 
     #[test]
     fn every_backend_pipelines_and_half_closes() {
-        // Pipelined keep-alive burst followed by SHUT_WR: the completion
-        // path must treat a 0-byte ReadDone exactly like the readiness
-        // path's read()==0 — drain the owed replies, then FIN cleanly.
+        // Pipelined keep-alive burst followed by SHUT_WR: epoll reports the
+        // FIN as EPOLLRDHUP, poll(2) only as a readable EOF — both must
+        // drain the owed replies, then FIN cleanly.
         let content = test_content();
         for backend in matrix_backends() {
             let server = start(1, backend);
@@ -2810,9 +2593,9 @@ mod tests {
             let mut s = TcpStream::connect(server.addr()).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             write!(s, "GET /f/0 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-            // Drain the whole reply before going silent: under scripted
-            // short writes it arrives fragmented, and leftover bytes would
-            // make the post-sleep read look like a live connection.
+            // Drain the whole reply before going silent: if it arrives
+            // fragmented, leftover bytes would make the post-sleep read
+            // look like a live connection.
             read_one_reply(&mut s, &format!("{backend:?}"));
             std::thread::sleep(Duration::from_millis(900));
             let mut tmp = [0u8; 65536];
@@ -2825,9 +2608,9 @@ mod tests {
 
     #[test]
     fn every_backend_answers_408_on_slow_header() {
-        // Under completion semantics a read op is in flight when the header
-        // deadline fires; the teardown must cancel it and still deliver the
-        // 408 head through the direct flush path.
+        // The header deadline fires from the wheel, outside any event for
+        // the connection; the teardown must still deliver the 408 head
+        // through the direct flush path.
         for backend in matrix_backends() {
             let server = start_backend_policy(
                 backend,
@@ -2872,7 +2655,7 @@ mod tests {
     #[test]
     fn every_backend_reclaims_stalled_writers() {
         // A client that requests a megabyte and never reads: once the
-        // kernel windows fill, no WriteDone (or writable event) arrives,
+        // kernel windows fill, no writable event arrives,
         // the stall clock stops sliding, and the wheel reclaims the
         // connection abortively.
         let content = big_content(1 << 20);

@@ -1,305 +1,50 @@
-//! The pluggable I/O backend abstraction: **readiness** vs **completion**
-//! semantics behind one trait, so one event-loop body can drive either.
+//! Which readiness selector an event loop runs on.
 //!
-//! * A *readiness* backend ([`ReadinessBackend`] over epoll/poll) reports
-//!   `Ready` events and the caller performs its own non-blocking I/O —
-//!   preserving the zero-copy vectored write path.
-//! * A *completion* backend (the deterministic mock, or io_uring) owns the
-//!   I/O: the caller *submits* reads and writes, the backend performs them
-//!   with backend-owned buffers, and `wait` reaps `ReadDone` / `WriteDone`
-//!   completions. Submission queues are bounded: `submit_*` can refuse with
-//!   [`SubmitError::SqFull`] and the caller retries after the next reap —
-//!   backpressure, never a dropped op.
-//!
-//! The contract both models share (DESIGN.md §16):
-//!
-//! * **Spurious events.** Readiness backends are level-triggered and may
-//!   re-report a condition any number of times. Completion backends may
-//!   deliver an `EAGAIN`-flavoured completion (`err == EAGAIN`) that made
-//!   no progress; the caller resubmits. Neither model ever *loses* an event.
-//! * **Buffer lifetime.** `ReadDone` buffers are backend-owned; the caller
-//!   must hand every one back via [`Backend::recycle`] — even when the
-//!   completion's token no longer resolves (the connection died while the
-//!   op was in flight). `submit_write` *copies* the caller's bytes at
-//!   submit time, so the caller's staging buffer is free immediately.
-//! * **Ordering.** Completions for different tokens may arrive in any
-//!   order; completions for one token's same-direction ops arrive in
-//!   submission order (there is at most one read and one write in flight
-//!   per token in this codebase, which makes that trivial).
-//! * **Half-close / errors.** Readiness backends surface peer half-close as
-//!   an `error`-flagged event (`EPOLLRDHUP`, riding only with read
-//!   interest). Completion backends surface it as `ReadDone { n: 0 }` —
-//!   a clean EOF — and a reset as `err == ECONNRESET` on whichever op was
-//!   in flight. There is no false-dead half-close state in the completion
-//!   model: a pending write simply completes when the peer drains.
-//! * **Teardown.** [`Backend::deregister`] cancels in-flight ops; their
-//!   completions may still surface afterwards and must be token-miss
-//!   tolerated (and their read buffers recycled) by the caller.
+//! Readiness is the one I/O model (DESIGN.md §16): a [`Selector`] reports
+//! level-triggered `Event`s and the caller performs its own non-blocking
+//! I/O. The two kinds differ only in scan cost — the pair the paper's cost
+//! model parameterises.
 
-use crate::selector::{Event, Interest, Selector, Token};
+use crate::selector::{EpollSelector, PollSelector, Selector};
 use std::io;
-use std::os::fd::RawFd;
-use std::time::Duration;
 
-/// Environment variable naming the backend (the CI matrix axis, mirroring
-/// `REPRO_ACCEPT_MODE`): `epoll` | `poll` | `mock-completion` | `io_uring`.
-pub const BACKEND_ENV: &str = "REPRO_BACKEND";
-
-/// Which I/O backend an event loop runs on.
+/// Which selector an event loop runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendKind {
-    /// Readiness via `epoll(7)`: O(ready) — a modern JVM/kernel.
+    /// `epoll(7)`: O(ready) — a modern JVM/kernel.
     Epoll,
-    /// Readiness via `poll(2)`: O(registered) — the 2004 testbed.
+    /// `poll(2)`: O(registered) — the 2004 testbed.
     Poll,
-    /// Deterministic completion model over real sockets: seeded completion
-    /// ordering, bounded SQ/CQ, short-read/short-write/EAGAIN injection.
-    /// The tier-1 stand-in for io_uring semantics.
-    MockCompletion,
-    /// Real `io_uring` batched submit/reap. Runtime-probed: when the kernel
-    /// refuses (ENOSYS, sysctl-disabled, missing features), [`create`]
-    /// falls back to epoll readiness.
-    IoUring,
 }
 
 impl BackendKind {
-    /// Read the backend from `REPRO_BACKEND` (case-insensitive). Unset or
-    /// unrecognised values fall back to `Epoll`, the paper-faithful default.
-    pub fn from_env() -> BackendKind {
-        match std::env::var(BACKEND_ENV) {
-            Ok(v) => BackendKind::parse(&v).unwrap_or(BackendKind::Epoll),
-            Err(_) => BackendKind::Epoll,
-        }
-    }
-
+    /// Parse a label (case-insensitive): `epoll` | `poll`.
     pub fn parse(s: &str) -> Option<BackendKind> {
         let s = s.trim();
         if s.eq_ignore_ascii_case("epoll") {
             Some(BackendKind::Epoll)
         } else if s.eq_ignore_ascii_case("poll") {
             Some(BackendKind::Poll)
-        } else if s.eq_ignore_ascii_case("mock-completion") || s.eq_ignore_ascii_case("mock") {
-            Some(BackendKind::MockCompletion)
-        } else if s.eq_ignore_ascii_case("io_uring")
-            || s.eq_ignore_ascii_case("io-uring")
-            || s.eq_ignore_ascii_case("uring")
-        {
-            Some(BackendKind::IoUring)
         } else {
             None
         }
     }
 
-    /// Stable display name (JSON rows, CI logs, `--backend` flags).
+    /// Stable display name (JSON rows, logs).
     pub fn label(&self) -> &'static str {
         match self {
             BackendKind::Epoll => "epoll",
             BackendKind::Poll => "poll",
-            BackendKind::MockCompletion => "mock-completion",
-            BackendKind::IoUring => "io_uring",
         }
     }
 
-    /// Completion-model semantics (submit/reap, backend-owned buffers)?
-    pub fn is_completion(&self) -> bool {
-        matches!(self, BackendKind::MockCompletion | BackendKind::IoUring)
+    /// A fresh selector of this kind.
+    pub fn selector(self) -> io::Result<Box<dyn Selector>> {
+        Ok(match self {
+            BackendKind::Epoll => Box::new(EpollSelector::new()?),
+            BackendKind::Poll => Box::new(PollSelector::new()),
+        })
     }
-}
-
-/// What one reaped entry says happened.
-#[derive(Debug)]
-pub enum CqeKind {
-    /// A readiness notification: every event from a readiness backend, and
-    /// poll-registered fds (listeners, wakers) on completion backends.
-    /// The caller performs the I/O itself.
-    Ready {
-        readable: bool,
-        writable: bool,
-        error: bool,
-    },
-    /// A submitted read finished: `buf[..n]` holds the bytes (`n == 0` is a
-    /// clean EOF), unless `err` carries an errno. `buf` is backend-owned —
-    /// hand it back via [`Backend::recycle`] in every case, including when
-    /// the token no longer resolves.
-    ReadDone {
-        buf: Vec<u8>,
-        n: usize,
-        err: Option<i32>,
-    },
-    /// A submitted write finished: `n` bytes of the submitted copy reached
-    /// the socket (possibly short — resubmit the rest), unless `err`.
-    WriteDone { n: usize, err: Option<i32> },
-}
-
-/// One reaped completion-queue entry.
-#[derive(Debug)]
-pub struct Cqe {
-    pub token: Token,
-    pub kind: CqeKind,
-}
-
-/// Why a submission was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SubmitError {
-    /// The bounded submission queue is full. Nothing was queued; retry the
-    /// identical submission after the next [`Backend::wait`] drains it.
-    SqFull,
-}
-
-/// `EAGAIN` — a completion that made no progress; resubmit.
-pub const EAGAIN: i32 = 11;
-/// `ECANCELED` — the op was cancelled by `deregister` before it ran.
-pub const ECANCELED: i32 = 125;
-
-/// A pluggable I/O backend: readiness or completion semantics behind one
-/// vocabulary. See the module docs for the cross-model contract.
-pub trait Backend: Send {
-    fn kind(&self) -> BackendKind;
-
-    /// Completion-model backend? When true the caller drives connection I/O
-    /// through `submit_read`/`submit_write`; when false through its own
-    /// non-blocking syscalls on `Ready` events.
-    fn is_completion(&self) -> bool {
-        self.kind().is_completion()
-    }
-
-    /// Register a connection fd. Readiness backends arm the level-triggered
-    /// interest set; completion backends only record the fd (interest is
-    /// implied by submitted ops).
-    fn register_conn(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-
-    /// Register a readiness-only fd (listener, waker). Every backend
-    /// delivers `Ready` events for these; completion backends keep the poll
-    /// persistently armed across deliveries, so the caller must fully drain
-    /// the condition each time (both call sites do).
-    fn register_poll(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-
-    /// Change readiness interest. No-op on completion backends for
-    /// connection fds.
-    fn set_interest(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()>;
-
-    /// Remove an fd, cancelling any in-flight completion ops. Their CQEs
-    /// may still surface afterwards (token-miss tolerated by the caller).
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()>;
-
-    /// Queue a read on a registered connection fd. At most one read in
-    /// flight per token.
-    fn submit_read(&mut self, fd: RawFd, token: Token) -> Result<(), SubmitError>;
-
-    /// Queue a write of a *copy* of `data` on a registered connection fd.
-    /// At most one write in flight per token; `data` is free to reuse the
-    /// moment this returns.
-    fn submit_write(&mut self, fd: RawFd, token: Token, data: &[u8]) -> Result<(), SubmitError>;
-
-    /// Return a `ReadDone` buffer to the backend's pool.
-    fn recycle(&mut self, buf: Vec<u8>);
-
-    /// Submit everything queued and reap completions into `out` (appended).
-    /// `None` blocks; completion backends bound the reap by their CQ size —
-    /// leftover completions surface on the next call.
-    fn wait(&mut self, out: &mut Vec<Cqe>, timeout: Option<Duration>) -> io::Result<usize>;
-
-    /// Registered fds (diagnostics).
-    fn registered(&self) -> usize;
-}
-
-/// Adapter: any [`Selector`] (epoll, poll) as a readiness-model [`Backend`].
-pub struct ReadinessBackend {
-    kind: BackendKind,
-    selector: Box<dyn Selector>,
-    events: Vec<Event>,
-}
-
-impl ReadinessBackend {
-    pub fn new(kind: BackendKind, selector: Box<dyn Selector>) -> ReadinessBackend {
-        ReadinessBackend {
-            kind,
-            selector,
-            events: Vec::new(),
-        }
-    }
-}
-
-impl Backend for ReadinessBackend {
-    fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    fn register_conn(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.selector.register(fd, token, interest)
-    }
-
-    fn register_poll(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.selector.register(fd, token, interest)
-    }
-
-    fn set_interest(&mut self, fd: RawFd, token: Token, interest: Interest) -> io::Result<()> {
-        self.selector.reregister(fd, token, interest)
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        self.selector.deregister(fd)
-    }
-
-    fn submit_read(&mut self, _fd: RawFd, _token: Token) -> Result<(), SubmitError> {
-        unreachable!("readiness backend has no submission queue")
-    }
-
-    fn submit_write(&mut self, _fd: RawFd, _token: Token, _data: &[u8]) -> Result<(), SubmitError> {
-        unreachable!("readiness backend has no submission queue")
-    }
-
-    fn recycle(&mut self, _buf: Vec<u8>) {}
-
-    fn wait(&mut self, out: &mut Vec<Cqe>, timeout: Option<Duration>) -> io::Result<usize> {
-        self.events.clear();
-        let n = self.selector.select(&mut self.events, timeout)?;
-        for ev in &self.events {
-            out.push(Cqe {
-                token: ev.token,
-                kind: CqeKind::Ready {
-                    readable: ev.readable,
-                    writable: ev.writable,
-                    error: ev.error,
-                },
-            });
-        }
-        Ok(n)
-    }
-
-    fn registered(&self) -> usize {
-        self.selector.registered()
-    }
-}
-
-/// Build a backend of `kind`. `IoUring` is runtime-probed and falls back to
-/// epoll readiness when the kernel refuses — call [`Backend::kind`] on the
-/// result to learn what actually runs.
-pub fn create(kind: BackendKind) -> Box<dyn Backend> {
-    match kind {
-        BackendKind::Epoll => Box::new(ReadinessBackend::new(
-            BackendKind::Epoll,
-            Box::new(crate::EpollSelector::new().expect("epoll")),
-        )),
-        BackendKind::Poll => Box::new(ReadinessBackend::new(
-            BackendKind::Poll,
-            Box::new(crate::PollSelector::new()),
-        )),
-        BackendKind::MockCompletion => Box::new(crate::MockCompletionBackend::default_seeded()),
-        BackendKind::IoUring => match crate::UringBackend::probe() {
-            Some(b) => Box::new(b),
-            None => Box::new(ReadinessBackend::new(
-                BackendKind::Epoll,
-                Box::new(crate::EpollSelector::new().expect("epoll")),
-            )),
-        },
-    }
-}
-
-/// Does this kernel grant a working io_uring? (One probe ring is set up and
-/// torn down.) Used by suites that skip-not-fail on refusing kernels.
-pub fn io_uring_available() -> bool {
-    crate::UringBackend::probe().is_some()
 }
 
 #[cfg(test)]
@@ -308,33 +53,11 @@ mod tests {
 
     #[test]
     fn kind_parse_round_trips() {
-        for kind in [
-            BackendKind::Epoll,
-            BackendKind::Poll,
-            BackendKind::MockCompletion,
-            BackendKind::IoUring,
-        ] {
+        for kind in [BackendKind::Epoll, BackendKind::Poll] {
             assert_eq!(BackendKind::parse(kind.label()), Some(kind));
         }
-        assert_eq!(BackendKind::parse("Mock"), Some(BackendKind::MockCompletion));
-        assert_eq!(BackendKind::parse("URING"), Some(BackendKind::IoUring));
+        assert_eq!(BackendKind::parse(" EPOLL "), Some(BackendKind::Epoll));
+        assert_eq!(BackendKind::parse("io_uring"), None);
         assert_eq!(BackendKind::parse("kqueue"), None);
-    }
-
-    #[test]
-    fn completion_split() {
-        assert!(!BackendKind::Epoll.is_completion());
-        assert!(!BackendKind::Poll.is_completion());
-        assert!(BackendKind::MockCompletion.is_completion());
-        assert!(BackendKind::IoUring.is_completion());
-    }
-
-    #[test]
-    fn create_falls_back_or_probes() {
-        // Whatever the kernel says, `create(IoUring)` must hand back a
-        // working backend: the real ring, or epoll readiness.
-        let b = create(BackendKind::IoUring);
-        assert!(matches!(b.kind(), BackendKind::IoUring | BackendKind::Epoll));
-        assert_eq!(b.kind() == BackendKind::IoUring, io_uring_available());
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::sys;
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::time::Duration;
 
 /// Caller-chosen identifier attached to a registered fd.
@@ -76,16 +76,20 @@ fn timeout_ms(timeout: Option<Duration>) -> i32 {
 // epoll backend
 // ---------------------------------------------------------------------
 
-/// O(ready) selection via `epoll(7)` (level-triggered).
+/// O(ready) selection via `epoll(7)` (level-triggered). The epoll fd is an
+/// `OwnedFd`, so dropping the selector closes it.
 pub struct EpollSelector {
-    epfd: RawFd,
+    epfd: OwnedFd,
     registered: usize,
     buf: Vec<sys::EpollEvent>,
 }
 
 impl EpollSelector {
     pub fn new() -> io::Result<Self> {
-        let epfd = sys::cvt(unsafe { sys::epoll_create1(sys::EPOLL_CLOEXEC) })?;
+        // SAFETY: epoll_create1 takes no pointers; on success it returns a
+        // fresh fd that nothing else owns, so `OwnedFd` may take it.
+        let epfd =
+            unsafe { OwnedFd::from_raw_fd(sys::cvt(sys::epoll_create1(sys::EPOLL_CLOEXEC))?) };
         Ok(EpollSelector {
             epfd,
             registered: 0,
@@ -111,7 +115,9 @@ impl EpollSelector {
             events: flags,
             data: token.0 as u64,
         };
-        sys::cvt(unsafe { sys::epoll_ctl(self.epfd, op, fd, &mut ev) })?;
+        // SAFETY: `ev` is a live, correctly laid-out `epoll_event` for the
+        // duration of the call; the kernel only reads it.
+        sys::cvt(unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) })?;
         Ok(())
     }
 }
@@ -128,16 +134,22 @@ impl Selector for EpollSelector {
     }
 
     fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        sys::cvt(unsafe { sys::epoll_ctl(self.epfd, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) })?;
+        let epfd = self.epfd.as_raw_fd();
+        // SAFETY: EPOLL_CTL_DEL ignores the event pointer (null is allowed
+        // since Linux 2.6.9).
+        sys::cvt(unsafe { sys::epoll_ctl(epfd, sys::EPOLL_CTL_DEL, fd, std::ptr::null_mut()) })?;
         self.registered = self.registered.saturating_sub(1);
         Ok(())
     }
 
     fn select(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         let n = loop {
+            // SAFETY: the pointer and length describe `self.buf`, which
+            // stays borrowed (and unresized) for the call; the kernel writes
+            // at most `len` events into it.
             let r = unsafe {
                 sys::epoll_wait(
-                    self.epfd,
+                    self.epfd.as_raw_fd(),
                     self.buf.as_mut_ptr(),
                     self.buf.len() as i32,
                     timeout_ms(timeout),
@@ -173,18 +185,6 @@ impl Selector for EpollSelector {
         self.registered
     }
 }
-
-impl Drop for EpollSelector {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.epfd);
-        }
-    }
-}
-
-// Safety: the epoll fd is just an integer handle; all mutation goes through
-// &mut self.
-unsafe impl Send for EpollSelector {}
 
 // ---------------------------------------------------------------------
 // poll(2) backend
@@ -256,6 +256,8 @@ impl Selector for PollSelector {
 
     fn select(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         let n = loop {
+            // SAFETY: the pointer and length describe `self.fds`, borrowed
+            // for the call; the kernel writes only each entry's `revents`.
             let r = unsafe {
                 sys::poll(
                     self.fds.as_mut_ptr(),

@@ -10,52 +10,52 @@
 #![cfg(target_os = "linux")]
 
 use crate::sys;
-use std::io;
-use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_void};
+use std::fs::File;
+use std::io::{self, Read, Write};
+use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::os::raw::c_int;
 
 const O_NONBLOCK: c_int = 0x800;
 const O_CLOEXEC: c_int = 0x8_0000;
 
 extern "C" {
     fn pipe2(fds: *mut c_int, flags: c_int) -> c_int;
-    fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
-    fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
 }
 
-/// A self-pipe waker. The struct owns both pipe ends; `wake()` is safe to
-/// call from any thread holding a reference.
+/// A self-pipe waker. The struct owns both pipe ends (as `File`s, so they
+/// close on drop and `read(2)`/`write(2)` go through std); `wake()` is safe
+/// to call from any thread holding a reference.
 #[derive(Debug)]
 pub struct Waker {
-    read_fd: RawFd,
-    write_fd: RawFd,
+    read_end: File,
+    write_end: File,
 }
-
-// The fds are plain integers; write(2) on a pipe is thread-safe.
-unsafe impl Send for Waker {}
-unsafe impl Sync for Waker {}
 
 impl Waker {
     pub fn new() -> io::Result<Waker> {
         let mut fds = [0 as c_int; 2];
+        // SAFETY: `fds` has room for the two descriptors pipe2 writes.
         sys::cvt(unsafe { pipe2(fds.as_mut_ptr(), O_NONBLOCK | O_CLOEXEC) })?;
+        // SAFETY: pipe2 succeeded, so both fds are open and owned by nothing
+        // else; each `File` takes sole ownership of one.
+        let (read_end, write_end) =
+            unsafe { (File::from_raw_fd(fds[0]), File::from_raw_fd(fds[1])) };
         Ok(Waker {
-            read_fd: fds[0],
-            write_fd: fds[1],
+            read_end,
+            write_end,
         })
     }
 
     /// The fd to register with the selector (readable when woken).
     pub fn read_fd(&self) -> RawFd {
-        self.read_fd
+        self.read_end.as_raw_fd()
     }
 
     /// Interrupt the selector. Coalesces: if a wake is already pending the
     /// pipe is full-enough and the extra byte is dropped (EAGAIN), which is
     /// exactly the semantics we want.
     pub fn wake(&self) {
-        let byte = 1u8;
-        let _ = unsafe { write(self.write_fd, &byte as *const u8 as *const c_void, 1) };
+        let _ = (&self.write_end).write(&[1]);
     }
 
     /// Drain pending wake bytes (call when the selector reports the read fd
@@ -63,23 +63,10 @@ impl Waker {
     pub fn drain(&self) -> usize {
         let mut total = 0;
         let mut buf = [0u8; 64];
-        loop {
-            let n = unsafe { read(self.read_fd, buf.as_mut_ptr() as *mut c_void, buf.len()) };
-            if n <= 0 {
-                break;
-            }
-            total += n as usize;
+        while let Ok(n @ 1..) = (&self.read_end).read(&mut buf) {
+            total += n;
         }
         total
-    }
-}
-
-impl Drop for Waker {
-    fn drop(&mut self) {
-        unsafe {
-            sys::close(self.read_fd);
-            sys::close(self.write_fd);
-        }
     }
 }
 

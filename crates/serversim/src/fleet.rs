@@ -541,9 +541,9 @@ impl FleetTestbed {
         }
     }
 
-    /// Submit a CPU job on `host` and schedule completions for whatever
+    /// Enqueue a CPU job on `host` and schedule completions for whatever
     /// started. Connection-bound jobs bump the pending counter.
-    fn submit_job(
+    fn enqueue_job(
         &mut self,
         ctx: &mut Ctx<'_, FEv>,
         host: usize,
@@ -754,7 +754,7 @@ impl FleetTestbed {
                         let service = self
                             .scaled(s, self.cfg.costs.sharded_accept_service(self.cfg.cpus_per_host));
                         let lane = self.replicas[s].worker_lane;
-                        self.submit_job(ctx, s, lane, service, FJob::Accept { conn, epoch });
+                        self.enqueue_job(ctx, s, lane, service, FJob::Accept { conn, epoch });
                         Evac::Reaccepted
                     }
                     None => {
@@ -814,7 +814,7 @@ impl FleetTestbed {
                         );
                         let service = self.scaled(s, split.worker);
                         let lane = self.replicas[s].worker_lane;
-                        self.submit_job(ctx, s, lane, service, FJob::Parse { conn, file, epoch });
+                        self.enqueue_job(ctx, s, lane, service, FJob::Parse { conn, file, epoch });
                     }
                     Evac::Replayed(owed)
                 } else {
@@ -1033,7 +1033,7 @@ impl FleetTestbed {
                 let service = self
                     .scaled(t, self.cfg.costs.sharded_accept_service(self.cfg.cpus_per_host));
                 let lane = self.replicas[t].worker_lane;
-                self.submit_job(ctx, t, lane, service, FJob::Accept { conn, epoch });
+                self.enqueue_job(ctx, t, lane, service, FJob::Accept { conn, epoch });
             }
             None => self.refuse_syn(ctx, conn),
         }
@@ -1074,7 +1074,7 @@ impl FleetTestbed {
                     );
                     let service = self.scaled(host, split.kernel);
                     let lane = self.replicas[host].kernel_lane;
-                    self.submit_job(ctx, host, lane, service, FJob::Send { conn, file, epoch });
+                    self.enqueue_job(ctx, host, lane, service, FJob::Send { conn, file, epoch });
                 }
                 self.maybe_gc(conn);
             }
@@ -1162,7 +1162,7 @@ impl FleetTestbed {
                 self.replicas[h].stalled_until = now + dur;
                 let lane = self.replicas[h].kernel_lane;
                 for _ in 0..self.cfg.cpus_per_host {
-                    self.submit_job(ctx, h, lane, dur, FJob::Stall);
+                    self.enqueue_job(ctx, h, lane, dur, FJob::Stall);
                 }
             }
             FaultKind::SlowLoris { clients } => {
@@ -1178,7 +1178,7 @@ impl FleetTestbed {
                 let service = self.cfg.costs.reject_service(self.cfg.cpus_per_host);
                 let lane = self.replicas[h].kernel_lane;
                 for _ in 0..sockets {
-                    self.submit_job(ctx, h, lane, service, FJob::Reject);
+                    self.enqueue_job(ctx, h, lane, service, FJob::Reject);
                 }
             }
         }
@@ -1401,7 +1401,7 @@ impl Model for FleetTestbed {
                     );
                     let service = self.scaled(h, split.worker);
                     let lane = self.replicas[h].worker_lane;
-                    self.submit_job(ctx, h, lane, service, FJob::Parse { conn, file, epoch });
+                    self.enqueue_job(ctx, h, lane, service, FJob::Parse { conn, file, epoch });
                 }
             }
             FEv::ClientThinkDone(cid) => {

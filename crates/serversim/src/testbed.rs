@@ -458,8 +458,8 @@ impl Testbed {
             .count()
     }
 
-    /// Submit a CPU job and schedule completions for whatever started.
-    fn submit_cpu(
+    /// Enqueue a CPU job and schedule completions for whatever started.
+    fn enqueue_cpu(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         lane: LaneId,
@@ -483,7 +483,7 @@ impl Testbed {
     fn refuse_syn(&mut self, ctx: &mut Ctx<'_, Ev>, conn: ConnId) {
         self.syns_refused += 1;
         let service = self.cfg.costs.reject_service(self.cfg.num_cpus);
-        self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
+        self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
         let lat = self.latency(self.conns[&conn].link);
         ctx.schedule_in(lat, Ev::RefusedAtClient(conn));
     }
@@ -621,7 +621,7 @@ impl Testbed {
             .cfg
             .costs
             .threaded_request_service(reply_bytes, pool, cpus);
-        self.submit_cpu(
+        self.enqueue_cpu(
             ctx,
             self.pool_lane,
             service,
@@ -678,7 +678,7 @@ impl Testbed {
                     (t.pool_size(), self.cfg.num_cpus)
                 };
                 let service = self.cfg.costs.threaded_accept_service(pool, cpus);
-                self.submit_cpu(ctx, self.pool_lane, service, Job::Accept(cand));
+                self.enqueue_cpu(ctx, self.pool_lane, service, Job::Accept(cand));
                 return;
             }
             let ServerModel::Threaded(t) = &mut self.server else {
@@ -938,13 +938,13 @@ impl Model for Testbed {
                                 _ => unreachable!(),
                             };
                             let service = self.cfg.costs.threaded_accept_service(pool, cpus);
-                            self.submit_cpu(ctx, self.pool_lane, service, Job::Accept(conn));
+                            self.enqueue_cpu(ctx, self.pool_lane, service, Job::Accept(conn));
                         }
                         SynOutcome::Queued => { /* waits for a free thread */ }
                         SynOutcome::Dropped if refuse_on_full => self.refuse_syn(ctx, conn),
                         SynOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
-                            self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
+                            self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
                             let retry = self.clients
                                 [self.conns[&conn].client.0 as usize]
                                 .syn_retry();
@@ -963,12 +963,12 @@ impl Model for Testbed {
                             } else {
                                 (self.acceptor_lane, self.cfg.costs.event_accept_service(cpus))
                             };
-                            self.submit_cpu(ctx, lane, service, Job::Accept(conn));
+                            self.enqueue_cpu(ctx, lane, service, Job::Accept(conn));
                         }
                         AcceptOutcome::Dropped if refuse_on_full => self.refuse_syn(ctx, conn),
                         AcceptOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
-                            self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
+                            self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
                             let retry = self.clients
                                 [self.conns[&conn].client.0 as usize]
                                 .syn_retry();
@@ -1118,7 +1118,7 @@ impl Model for Testbed {
                             })
                             .collect();
                         for (service, job) in jobs {
-                            self.submit_cpu(ctx, self.worker_lane, service, job);
+                            self.enqueue_cpu(ctx, self.worker_lane, service, job);
                         }
                     }
                     ServerModel::Staged(_) => {
@@ -1133,7 +1133,7 @@ impl Model for Testbed {
                             })
                             .collect();
                         for (service, job) in jobs {
-                            self.submit_cpu(ctx, self.stage_parse_lane, service, job);
+                            self.enqueue_cpu(ctx, self.stage_parse_lane, service, job);
                         }
                     }
                 }
@@ -1263,7 +1263,7 @@ impl Model for Testbed {
                                 workers,
                                 self.cfg.num_cpus,
                             );
-                            self.submit_cpu(
+                            self.enqueue_cpu(
                                 ctx,
                                 self.kernel_lane,
                                 split.kernel,
@@ -1293,7 +1293,7 @@ impl Model for Testbed {
                                 .cfg
                                 .costs
                                 .staged_request_service(reply_bytes, self.cfg.num_cpus);
-                            self.submit_cpu(
+                            self.enqueue_cpu(
                                 ctx,
                                 self.stage_send_lane,
                                 split.kernel,
@@ -1397,7 +1397,7 @@ impl Model for Testbed {
                                 0
                             };
                             let dur = self.cfg.stall_min + SimDuration::from_nanos(jitter);
-                            self.submit_cpu(ctx, self.kernel_lane, dur, Job::Stall);
+                            self.enqueue_cpu(ctx, self.kernel_lane, dur, Job::Stall);
                         }
                         // Exponential inter-stall gap.
                         let mean = self.cfg.stall_mean_interval.as_secs_f64();
@@ -1487,7 +1487,7 @@ impl Model for Testbed {
                         // in flight makes progress either.
                         let dur = SimDuration::from_nanos(ev.duration_ns);
                         for _ in 0..self.cfg.num_cpus {
-                            self.submit_cpu(ctx, self.kernel_lane, dur, Job::Stall);
+                            self.enqueue_cpu(ctx, self.kernel_lane, dur, Job::Stall);
                         }
                     }
                     faults::FaultKind::SlowLoris { clients } => {
@@ -1503,7 +1503,7 @@ impl Model for Testbed {
                         // one kernel reject's worth of CPU per raw socket.
                         let service = self.cfg.costs.reject_service(self.cfg.num_cpus);
                         for _ in 0..sockets {
-                            self.submit_cpu(ctx, self.kernel_lane, service, Job::Reject);
+                            self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
                         }
                     }
                 }

@@ -51,7 +51,7 @@ fn main() {
     {
         let server = nioserver::NioServer::start(nioserver::NioConfig {
             workers: 1,
-            backend: nioserver::BackendKind::from_env(),
+            backend: nioserver::BackendKind::Epoll,
             accept: nioserver::AcceptMode::from_env(),
             shed_watermark: None,
             lifecycle: httpcore::LifecyclePolicy::default(),

@@ -30,7 +30,7 @@ fn content() -> Arc<ContentStore> {
 fn start_nio(workers: usize, shed: Option<u64>) -> nioserver::NioServer {
     nioserver::NioServer::start(nioserver::NioConfig {
         workers,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: shed,
         lifecycle: httpcore::LifecyclePolicy::default(),

@@ -60,7 +60,7 @@ fn reset_contrast_holds_in_both_layers() {
 
     let nio = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),
@@ -131,7 +131,7 @@ fn exhaustion_contrast_holds_in_both_layers() {
     };
     let nio = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),

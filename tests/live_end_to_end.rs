@@ -39,7 +39,7 @@ fn one_worker_reactor_sustains_many_live_clients() {
     let content = Arc::new(ContentStore::from_fileset(&fs));
     let server = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),
@@ -98,7 +98,7 @@ fn live_reset_contrast_between_architectures() {
 
     let nio = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),
@@ -146,7 +146,7 @@ fn live_pool_exhaustion_throttles_throughput() {
 
     let nio = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),

@@ -93,7 +93,7 @@ fn live_capture() -> String {
     let content = Arc::new(ContentStore::from_fileset(&files));
     let server = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: None,
         lifecycle: httpcore::LifecyclePolicy::default(),
@@ -224,7 +224,7 @@ fn refused_end_reason_reaches_both_exporters_in_both_layers() {
     );
     let server = nioserver::NioServer::start(nioserver::NioConfig {
         workers: 1,
-        backend: nioserver::BackendKind::from_env(),
+        backend: nioserver::BackendKind::Epoll,
         accept: nioserver::AcceptMode::from_env(),
         shed_watermark: Some(0),
         lifecycle: httpcore::LifecyclePolicy::default(),

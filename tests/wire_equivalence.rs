@@ -280,17 +280,9 @@ fn start_nio(
     .expect("start nio server")
 }
 
-/// Every reactor backend this host can run: epoll and the deterministic
-/// completion mock always, io_uring when the kernel grants a ring.
-fn available_backends() -> Vec<nioserver::BackendKind> {
-    let mut v = vec![
-        nioserver::BackendKind::Epoll,
-        nioserver::BackendKind::MockCompletion,
-    ];
-    if nioserver::io_uring_available() {
-        v.push(nioserver::BackendKind::IoUring);
-    }
-    v
+/// Both readiness selectors: epoll (O(ready)) and poll(2) (O(registered)).
+fn available_backends() -> [nioserver::BackendKind; 2] {
+    [nioserver::BackendKind::Epoll, nioserver::BackendKind::Poll]
 }
 
 #[test]
