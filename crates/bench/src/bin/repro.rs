@@ -9,8 +9,8 @@
 //!   repro observe fig2b       # re-run one point with full observability
 //!                             # and explain why the curve bends there
 //!                             # (--json dumps the capture as JSONL)
-//!   repro observe capacity    # USL (λ, σ, κ) fits over worker/CPU/pool
-//!                             # sweeps, sim + live; writes
+//!   repro observe capacity    # USL (λ, σ, κ) fits over simulated
+//!                             # worker/CPU sweeps; writes
 //!                             # CAPACITY_baseline.json
 //!   repro observe capacity --smoke
 //!                             # short refit: fail when fitted σ or κ
@@ -249,9 +249,10 @@ fn main() {
 
     let scale = if quick { Scale::quick() } else { Scale::paper() };
     if observe_mode && ids.iter().any(|id| id == "capacity") {
-        // The capacity observatory: USL fits over throughput-vs-parallelism
-        // sweeps in both layers. `--smoke` refits on a short sweep and
-        // gates σ/κ against the committed baseline; a full run rewrites it.
+        // The capacity observatory: USL fits over simulated
+        // throughput-vs-parallelism sweeps. `--smoke` refits on a short
+        // sweep and gates σ/κ against the committed baseline; a full run
+        // rewrites it.
         let start = std::time::Instant::now();
         let report = experiments::run_capacity(smoke);
         println!("{}", experiments::render_capacity(&report));

@@ -6,12 +6,11 @@
 //! workload) cannot see that shape — a change can keep the 1-worker rate
 //! intact while wrecking the 4-worker rate. This module fits Gunther's Universal
 //! Scalability Law ([`obs::fit_usl`]) to throughput-vs-parallelism sweeps
-//! in **both layers**:
-//!
-//! * **sim** — the paper's testbed: nio worker sweep on the 4-way SMP and
-//!   httpd across 1–4 CPUs, at a saturating client load;
-//! * **live** — the real servers over loopback: nio workers (handoff and
-//!   sharded accept paths) and httpd pool sizes.
+//! on the paper's simulated testbed: the nio worker sweep on the 4-way SMP
+//! and httpd across 1–4 CPUs, at a saturating client load. There is no live
+//! sweep: a 4-point loopback sweep on two cores, with the load generator on
+//! the same cores, cannot resolve the coefficients (σ pinned at its bound
+//! of 1, R² 0.64), so its gate could not fail.
 //!
 //! Each curve yields `(λ, σ, κ)`: the single-unit rate, the contention
 //! (serial-fraction) coefficient, and the coherency (crosstalk)
@@ -24,15 +23,11 @@
 use crate::checks::Check;
 use crate::sweep::sweep;
 use desim::SimDuration;
-use httpcore::ContentStore;
 use metrics::json::{get, get_num, get_str};
 use metrics::Json;
 use netsim::LinkConfig;
 use obs::{fit_usl, UslFit};
 use serversim::{ServerArch, TestbedConfig};
-use std::sync::Arc;
-use std::time::Duration;
-use workload::{FileSet, SessionConfig, SurgeConfig};
 
 /// Schema tag emitted in (and required of) `CAPACITY_baseline.json`.
 pub const CAPACITY_SCHEMA: &str = "capacity/v1";
@@ -52,25 +47,14 @@ pub const SIGMA_TOLERANCE: f64 = 0.15;
 /// fit keeps the bar this low.
 pub const KAPPA_TOLERANCE: f64 = 0.05;
 
-/// σ tolerance for **live**-layer curves. A 4-point loopback sweep leaves
-/// the (σ, κ) decomposition ill-conditioned — the same machine refits σ
-/// anywhere in a ±0.2 band run to run while the knee barely moves — so
-/// the live gate is sized to that observed cross-run variance and catches
-/// architectural regressions (a new cross-worker lock, an accept-path
-/// serialisation), not scheduler jitter.
-pub const LIVE_SIGMA_TOLERANCE: f64 = 0.30;
-
-/// κ tolerance for **live**-layer curves (see [`LIVE_SIGMA_TOLERANCE`]).
-pub const LIVE_KAPPA_TOLERANCE: f64 = 0.15;
-
 /// One throughput-vs-parallelism curve and its USL fit.
 #[derive(Debug, Clone)]
 pub struct CapacityCurve {
-    /// Which layer measured it: `sim` or `live`.
+    /// Which layer measured it (`sim`).
     pub layer: String,
-    /// Architecture label: `nio`, `nio-sharded`, `httpd`.
+    /// Architecture label: `nio` or `httpd`.
     pub arch: String,
-    /// What the x-axis scales: `workers`, `cpus`, or `pool`.
+    /// What the x-axis scales: `workers` or `cpus`.
     pub param: String,
     /// `(N, replies/s)` points, in sweep order.
     pub points: Vec<(f64, f64)>,
@@ -169,112 +153,11 @@ pub fn sim_curves(smoke: bool) -> Vec<CapacityCurve> {
     ]
 }
 
-// ---------------------------------------------------------------------
-// Live-layer sweeps
-// ---------------------------------------------------------------------
-
-const LIVE_CLIENTS: usize = 8;
-const LIVE_SEED: u64 = 0xCA9A_0001;
-const LIVE_SECS_FULL: f64 = 2.5;
-const LIVE_SECS_SMOKE: f64 = 0.8;
-
-/// Browsing-mix file set for the live sweeps (the default SURGE shape:
-/// small bodies, so the sweep stresses per-request costs where worker
-/// contention shows, not the memcpy-bound transfer path).
-fn live_files() -> FileSet {
-    let mut rng = desim::Rng::new(LIVE_SEED);
-    FileSet::build(
-        &SurgeConfig {
-            num_files: 100,
-            tail_prob: 0.02,
-            ..SurgeConfig::default()
-        },
-        &mut rng,
-    )
-}
-
-fn live_load(target: std::net::SocketAddr, secs: f64) -> loadgen::LoadConfig {
-    loadgen::LoadConfig {
-        target,
-        clients: LIVE_CLIENTS,
-        duration: Duration::from_secs_f64(secs),
-        session: SessionConfig::default(),
-        client_timeout: Duration::from_secs(10),
-        think_scale: 0.0,
-        seed: LIVE_SEED,
-        obs: None,
-        retry: None,
-        failover: Vec::new(),
-        failover_budget: 0,
-    }
-}
-
-/// Best-of-2 trials per point: loopback interference only subtracts
-/// throughput, so the max estimates capacity, and a steadier point keeps
-/// the fitted (σ, κ) split from wandering between runs.
-fn live_point(addr: std::net::SocketAddr, files: &FileSet, secs: f64) -> f64 {
-    (0..2)
-        .map(|_| {
-            let report = loadgen::run(&live_load(addr, secs), files);
-            report.replies as f64 / report.wall.as_secs_f64().max(1e-9)
-        })
-        .fold(0.0, f64::max)
-}
-
-/// The live capacity curves: nio worker sweeps under both accept paths,
-/// and the httpd pool-size sweep, all over loopback.
-pub fn live_curves(smoke: bool) -> Vec<CapacityCurve> {
-    let files = live_files();
-    let content = Arc::new(ContentStore::from_fileset(&files));
-    let secs = if smoke { LIVE_SECS_SMOKE } else { LIVE_SECS_FULL };
-
-    let mut curves = Vec::new();
-    for (arch, accept) in [
-        ("nio", nioserver::AcceptMode::Handoff),
-        ("nio-sharded", nioserver::AcceptMode::Sharded),
-    ] {
-        let mut pts = Vec::new();
-        for workers in 1..=4usize {
-            let server = nioserver::NioServer::start(nioserver::NioConfig {
-                workers,
-                backend: nioserver::BackendKind::Epoll,
-                accept,
-                shed_watermark: None,
-                lifecycle: httpcore::LifecyclePolicy::default(),
-                content: Arc::clone(&content),
-            })
-            .expect("start nio server for capacity sweep");
-            let rps = live_point(server.addr(), &files, secs);
-            server.shutdown();
-            pts.push((workers as f64, rps));
-        }
-        curves.push(fit_curve("live", arch, "workers", pts));
-    }
-
-    let mut pts = Vec::new();
-    for pool in [1usize, 2, 4, 8] {
-        let server = poolserver::PoolServer::start(poolserver::PoolConfig {
-            pool_size: pool,
-            lifecycle: httpcore::LifecyclePolicy::httpd2(),
-            shed_watermark: None,
-            content: Arc::clone(&content),
-        })
-        .expect("start pool server for capacity sweep");
-        let rps = live_point(server.addr(), &files, secs);
-        server.shutdown();
-        pts.push((pool as f64, rps));
-    }
-    curves.push(fit_curve("live", "httpd", "pool", pts));
-    curves
-}
-
-/// Run the full observatory: both layers, all curves.
+/// Run the full observatory: every curve.
 pub fn run_capacity(smoke: bool) -> CapacityReport {
-    let mut curves = sim_curves(smoke);
-    curves.extend(live_curves(smoke));
     CapacityReport {
         scale: if smoke { "smoke" } else { "paper" }.to_string(),
-        curves,
+        curves: sim_curves(smoke),
     }
 }
 
@@ -495,22 +378,11 @@ pub fn parse_capacity_json(text: &str) -> Result<CapacityReport, String> {
 // The CI scalability gate
 // ---------------------------------------------------------------------
 
-/// Per-layer tolerances. The jackknife SEs in the fit are deliberately
-/// NOT used here: on live sweeps the within-sweep leave-one-out spread
-/// underestimates between-run variance by an order of magnitude (it can
-/// read ±0.004 on a σ that moves ±0.2 between runs), and widening by the
-/// *current* run's SE would let a noisy regression loosen its own gate.
-fn tolerances(layer: &str) -> (f64, f64) {
-    if layer == "live" {
-        (LIVE_SIGMA_TOLERANCE, LIVE_KAPPA_TOLERANCE)
-    } else {
-        (SIGMA_TOLERANCE, KAPPA_TOLERANCE)
-    }
-}
-
 /// Compare a fresh smoke refit against the committed baseline: every
 /// baseline curve must still fit, and neither coefficient may regress
 /// (grow) beyond its tolerance. Falling σ/κ — *better* scaling — passes.
+/// The tolerances are fixed, not the fit's jackknife SEs: widening by the
+/// *current* run's SE would let a noisy regression loosen its own gate.
 pub fn capacity_checks(baseline: &CapacityReport, current: &CapacityReport) -> Vec<Check> {
     let mut checks = Vec::new();
     for base in &baseline.curves {
@@ -535,7 +407,7 @@ pub fn capacity_checks(baseline: &CapacityReport, current: &CapacityReport) -> V
             ));
             continue;
         };
-        let (sigma_tol, kappa_tol) = tolerances(&base.layer);
+        let (sigma_tol, kappa_tol) = (SIGMA_TOLERANCE, KAPPA_TOLERANCE);
         checks.push(Check::new(
             "capacity: contention within tolerance",
             cf.sigma <= bf.sigma + sigma_tol,
@@ -581,9 +453,9 @@ mod tests {
                     fit: Some(fake_fit(0.08, 0.01)),
                 },
                 CapacityCurve {
-                    layer: "live".to_string(),
+                    layer: "sim".to_string(),
                     arch: "httpd".to_string(),
-                    param: "pool".to_string(),
+                    param: "cpus".to_string(),
                     points: vec![(1.0, 900.0), (2.0, 1500.0)],
                     fit: None,
                 },
@@ -633,13 +505,13 @@ mod tests {
     fn committed_baseline_parses_and_passes_its_own_gate() {
         let baseline = parse_capacity_json(include_str!("../../../CAPACITY_baseline.json"))
             .expect("CAPACITY_baseline.json validates");
-        assert_eq!(baseline.curves.len(), 5, "2 sim + 3 live curves");
+        assert_eq!(baseline.curves.len(), 2, "2 sim curves");
         for c in &baseline.curves {
             assert_eq!(c.points.len(), 4, "{}", c.key());
             assert!(c.fit.is_some(), "{} has no fit", c.key());
         }
         let checks = capacity_checks(&baseline, &baseline);
-        assert_eq!(checks.len(), 10, "sigma and kappa per curve");
+        assert_eq!(checks.len(), 4, "sigma and kappa per curve");
         assert!(checks.iter().all(|c| c.pass), "{checks:?}");
     }
 
@@ -676,24 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn live_curves_gate_at_the_wider_live_tolerance() {
-        let mut baseline = fake_report();
-        baseline.curves[1].fit = Some(fake_fit(0.50, 0.02));
-        let mut current = baseline.clone();
-        // +0.25 σ on a live curve: inside the live band, outside the sim one.
-        current.curves[1].fit = Some(fake_fit(0.75, 0.02));
-        assert!(
-            capacity_checks(&baseline, &current).iter().all(|c| c.pass),
-            "live drift within LIVE_SIGMA_TOLERANCE must pass"
-        );
-        // +0.45 σ is a regression in any layer.
-        current.curves[1].fit = Some(fake_fit(0.95, 0.02));
-        assert!(capacity_checks(&baseline, &current)
-            .iter()
-            .any(|c| !c.pass && c.detail.contains("live/httpd/pool")));
-    }
-
-    #[test]
     fn improved_coefficients_pass_the_gate() {
         let baseline = fake_report();
         let mut better = baseline.clone();
@@ -715,7 +569,7 @@ mod tests {
         let report = fake_report();
         let out = render_capacity(&report);
         assert!(out.contains("sim/nio/workers"), "{out}");
-        assert!(out.contains("live/httpd/pool"), "{out}");
+        assert!(out.contains("sim/httpd/cpus"), "{out}");
         assert!(out.contains("no fit"), "{out}");
         assert!(out.contains("paper check"), "{out}");
     }
@@ -724,7 +578,7 @@ mod tests {
     fn smoke_capacity_run_fits_all_curves() {
         let report = run_capacity(true);
         assert_eq!(report.scale, "smoke");
-        assert_eq!(report.curves.len(), 5, "2 sim + 3 live curves");
+        assert_eq!(report.curves.len(), 2, "2 sim curves");
         for c in &report.curves {
             assert_eq!(c.points.len(), 4, "{}: {:?}", c.key(), c.points);
             assert!(

@@ -21,6 +21,8 @@
 //!   virtual-time oracle and every live server variant, with shrinking,
 //!   a regression corpus, and mutation teeth checks.
 
+#![forbid(unsafe_code)]
+
 pub mod capacity;
 pub mod catalog;
 pub mod chaos;
@@ -38,7 +40,7 @@ pub mod tables;
 pub use capacity::{
     capacity_checks, capacity_to_json, parse_capacity_json, render_capacity, run_capacity,
     CapacityCurve, CapacityReport, CAPACITY_BASELINE_PATH, CAPACITY_SCHEMA, KAPPA_TOLERANCE,
-    LIVE_KAPPA_TOLERANCE, LIVE_SIGMA_TOLERANCE, SIGMA_TOLERANCE,
+    SIGMA_TOLERANCE,
 };
 pub use catalog::{Campaign, LinkSetup, Scale, ALL_FIGURE_IDS};
 pub use conformance::{

@@ -425,7 +425,7 @@ fn goodput_checks(runs: &[ResilienceRun]) -> Vec<Check> {
 /// how fast the host ran the window.
 fn count_checks(runs: &[ResilienceRun], sweep: &[PolicyRun]) -> Vec<Check> {
     let mut out = Vec::new();
-    let fd_limit = rlimit_nofile();
+    let fd_limit = httpcore::sys::nofile_limits().0;
     for r in runs {
         out.push(Check::new(
             &format!(
@@ -501,24 +501,6 @@ fn count_checks(runs: &[ResilienceRun], sweep: &[PolicyRun]) -> Vec<Check> {
         ),
     ));
     out
-}
-
-fn rlimit_nofile() -> u64 {
-    #[repr(C)]
-    struct Rlimit {
-        cur: u64,
-        max: u64,
-    }
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } == 0 {
-        lim.cur
-    } else {
-        u64::MAX
-    }
 }
 
 /// Render the survival table and the policy sweep.

@@ -7,10 +7,10 @@
 //!
 //! * **live** — ramp real keep-alive connections against the nio server
 //!   until the process hits its fd ceiling and the lifecycle reserve
-//!   starts refusing (`503 Connection: close`), recording a curve of
-//!   (open conns, resident-set delta, open fds) along the way. After the
-//!   refusal point it frees a little headroom and probes that the server
-//!   still answers — the frontier is a plateau, not a cliff. The ceiling
+//!   starts refusing (an abortive close: RST before any reply), recording
+//!   a curve of (open conns, resident-set delta, open fds) along the way.
+//!   After the refusal point it frees a little headroom and probes that the
+//!   server still answers — the frontier is a plateau, not a cliff. The ceiling
 //!   itself comes from `RLIMIT_NOFILE`: smoke lowers the soft limit so
 //!   refusal arrives in seconds; a full run raises it to the hard limit
 //!   and rides the ramp as far as the kernel allows (two fds per held
@@ -31,6 +31,7 @@
 
 use crate::checks::Check;
 use desim::SimDuration;
+use httpcore::sys::{nofile_limits, set_nofile_soft};
 use httpcore::{ContentStore, LifecyclePolicy};
 use metrics::json::{get, get_num, get_str};
 use metrics::Json;
@@ -113,8 +114,8 @@ pub struct ScaleCurve {
     pub mem_per_conn_bytes: f64,
     /// Most fds simultaneously open (live only; 0 for sim).
     pub fd_watermark: u64,
-    /// The ramp reached an explicit refusal (live: 503/denied connect at
-    /// the fd reserve; sim: `refuse_on_full` at a saturated backlog).
+    /// The ramp reached an explicit refusal (live: RST or a denied connect
+    /// at the fd reserve; sim: `refuse_on_full` at a saturated backlog).
     pub refusal_seen: bool,
     /// `(SO_RCVBUF, SO_SNDBUF)` requested on every accepted socket for
     /// this ramp; `None` leaves the kernel's autotuned defaults. Recorded
@@ -167,42 +168,6 @@ fn open_fds() -> u64 {
     std::fs::read_dir("/proc/self/fd")
         .map(|d| d.count() as u64)
         .unwrap_or(0)
-}
-
-#[repr(C)]
-struct Rlimit {
-    cur: u64,
-    max: u64,
-}
-
-extern "C" {
-    fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    fn setrlimit(resource: i32, rlim: *const Rlimit) -> i32;
-}
-
-const RLIMIT_NOFILE: i32 = 7;
-
-/// `(soft, hard)` fd limits; `(u64::MAX, u64::MAX)` when the query fails.
-fn nofile_limits() -> (u64, u64) {
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    if unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) } == 0 {
-        (lim.cur, lim.max)
-    } else {
-        (u64::MAX, u64::MAX)
-    }
-}
-
-/// Move the soft fd limit (never the hard one). Best-effort: the ramp
-/// still terminates on whatever ceiling actually applies.
-fn set_nofile_soft(soft: u64) {
-    let (_, hard) = nofile_limits();
-    let lim = Rlimit {
-        cur: soft.min(hard),
-        max: hard,
-    };
-    unsafe {
-        setrlimit(RLIMIT_NOFILE, &lim);
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +268,8 @@ fn live_ramp(smoke: bool, arch: &str, socket_buffers: Option<(u32, u32)>) -> Sca
     } else {
         hard
     };
-    set_nofile_soft(target_soft);
+    // Best-effort: the ramp still ends on whatever ceiling actually applies.
+    let _ = set_nofile_soft(target_soft);
 
     let files = scale_files();
     let content = Arc::new(ContentStore::from_fileset(&files));
@@ -337,8 +303,8 @@ fn live_ramp(smoke: bool, arch: &str, socket_buffers: Option<(u32, u32)>) -> Sca
         for _ in 0..BATCH {
             // Each held connection costs two fds (both ends live here),
             // so either end can hit the ceiling first: a refused request
-            // (503 + close from the reserve) or a failed local connect
-            // both mark the frontier.
+            // (RST from the reserve) or a failed local connect both mark
+            // the frontier.
             match TcpStream::connect(addr) {
                 Ok(mut s) => {
                     let _ = s.set_read_timeout(Some(Duration::from_secs(5)));
@@ -376,7 +342,7 @@ fn live_ramp(smoke: bool, arch: &str, socket_buffers: Option<(u32, u32)>) -> Sca
 
     drop(held);
     server.shutdown();
-    set_nofile_soft(orig_soft);
+    let _ = set_nofile_soft(orig_soft);
 
     ScaleCurve {
         layer: "live".to_string(),

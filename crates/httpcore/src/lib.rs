@@ -11,7 +11,14 @@
 //! * [`date`] — allocation-light IMF-fixdate formatting;
 //! * [`policy`] — the connection-lifecycle policy (timeouts + accept-path
 //!   defenses) both live servers accept, making the Fig-3 asymmetry a
-//!   config knob instead of an architectural constant.
+//!   config knob instead of an architectural constant, plus the one
+//!   accept-path admission decision both servers apply;
+//! * [`sys`] — the socket-option and fd-limit syscalls (the one FFI module
+//!   outside `reactor`).
+//!
+//! Every FFI block carries a `// SAFETY:` comment; the lint below keeps it so.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod buffer;
 pub mod content;
@@ -20,12 +27,13 @@ pub mod policy;
 pub mod reply;
 pub mod request;
 pub mod response;
+pub mod sys;
 
 pub use buffer::ReadBuf;
 pub use content::{ArenaSlice, ContentStore};
-pub use policy::LifecyclePolicy;
-pub use reply::{HeadPool, ReplyQueue};
 pub use date::{http_date, now_http_date};
+pub use policy::{AcceptBackoff, AcceptRetry, Admission, LifecyclePolicy};
+pub use reply::{HeadPool, ReplyQueue};
 pub use request::{
     Method, ParseError, ParseOutcome, ParserLimits, Request, RequestParser, RequestPool, Version,
 };

@@ -13,7 +13,17 @@
 //! header dribbler, a client that never drains its socket — can hold a
 //! connection. Event-driven servers must carry this bookkeeping themselves:
 //! no blocked thread does it for them.
+//!
+//! The accept-path decision itself lives here too, so both servers refuse
+//! the same connections the same way: [`LifecyclePolicy::admit`] decides,
+//! [`Admission::refuse`] carries a refusal out, and [`AcceptBackoff`]
+//! paces an accept loop through `accept(2)` errors.
 
+use crate::request::Version;
+use crate::response::{write_head, Status};
+use crate::sys::{self, ECONNABORTED, EINTR, EMFILE, ENFILE};
+use std::io::{self, Write};
+use std::net::TcpStream;
 use std::time::Duration;
 
 /// Per-connection lifecycle policy plus accept-path defenses.
@@ -104,6 +114,138 @@ impl LifecyclePolicy {
     }
 }
 
+/// What the accept path does with a freshly accepted connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    Admit,
+    /// Inside the fd reserve: abortive close (RST).
+    FdReserve,
+    /// At the `max_conns` cap: `503 Connection: close`.
+    Unavailable,
+    /// Over the server's shed watermark: abortive close (RST).
+    Shed,
+}
+
+impl LifecyclePolicy {
+    /// The admission decision both servers share, checked in this order:
+    ///
+    /// 1. fd reserve — the accepted `fd` tells how close the process is to
+    ///    `fd_limit` (fds are allocated lowest-free); inside the reserve,
+    ///    keeping the connection could starve teardown plumbing;
+    /// 2. `max_conns` against the `open` connection count;
+    /// 3. `shed_hit` — the server's own pressure signal (open connections
+    ///    for nio, busy threads for the pool) is over its watermark.
+    pub fn admit(&self, fd: u64, fd_limit: u64, open: u64, shed_hit: bool) -> Admission {
+        if self.fd_reserve > 0 && fd.saturating_add(self.fd_reserve) >= fd_limit {
+            Admission::FdReserve
+        } else if self.max_conns.is_some_and(|cap| open >= cap) {
+            Admission::Unavailable
+        } else if shed_hit {
+            Admission::Shed
+        } else {
+            Admission::Admit
+        }
+    }
+}
+
+impl Admission {
+    /// Carry out a refusal on a still-blocking `stream`: a `503` for the
+    /// cap, so well-behaved clients see an HTTP answer, and RST for the
+    /// rest, so the client observes the refusal at once instead of queueing.
+    /// `Admit` does nothing.
+    pub fn refuse(self, stream: &TcpStream, head: &mut Vec<u8>, date: &str) {
+        match self {
+            Admission::Admit => {}
+            Admission::Unavailable => respond_unavailable(stream, head, date),
+            Admission::FdReserve | Admission::Shed => {
+                let _ = sys::set_linger_zero(stream);
+            }
+        }
+    }
+}
+
+/// Best-effort `503 Service Unavailable, Connection: close` on a refused,
+/// still-blocking connection. The head is far smaller than any socket
+/// buffer, so the write cannot stall the accept loop. It renders into the
+/// caller's scratch and takes the caller's cached date, so a refusal storm
+/// at the cap allocates nothing per connection.
+fn respond_unavailable(stream: &TcpStream, head: &mut Vec<u8>, date: &str) {
+    head.clear();
+    write_head(
+        head,
+        Version::Http11,
+        Status::ServiceUnavailable,
+        0,
+        false,
+        date,
+    );
+    let mut w = stream;
+    let _ = w.write_all(head);
+}
+
+/// How an accept loop proceeds after a failed `accept(2)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AcceptRetry {
+    /// Stop accepting for this long; `None` retries at once.
+    pub pause: Option<Duration>,
+    /// The error was fd exhaustion (`EMFILE`/`ENFILE`), tallied with the
+    /// fd-reserve refusals.
+    pub fd_exhausted: bool,
+}
+
+/// The accept-error classifier and its fd-exhaustion backoff. Exiting on
+/// `EMFILE` would silently kill the accept path, and retrying at full speed
+/// is a busy loop that starves the very teardowns that would free fds.
+#[derive(Debug)]
+pub struct AcceptBackoff {
+    next: Duration,
+}
+
+impl Default for AcceptBackoff {
+    fn default() -> Self {
+        AcceptBackoff {
+            next: AcceptBackoff::FLOOR,
+        }
+    }
+}
+
+impl AcceptBackoff {
+    /// First exhaustion pause, and the pause for any unrecognised error.
+    const FLOOR: Duration = Duration::from_millis(1);
+    /// Ceiling of the doubling exhaustion pause.
+    const CAP: Duration = Duration::from_millis(100);
+
+    /// A successful accept: the next exhaustion starts from the floor.
+    pub fn reset(&mut self) {
+        self.next = AcceptBackoff::FLOOR;
+    }
+
+    /// Classify a failed accept (`WouldBlock` aside):
+    /// `EINTR`/`ECONNABORTED` (a signal, or a peer that hung up between SYN
+    /// and accept) retry at once; `EMFILE`/`ENFILE` pause for a doubling
+    /// 1 → 100 ms; anything else pauses 1 ms.
+    pub fn on_error(&mut self, e: &io::Error) -> AcceptRetry {
+        match e.raw_os_error() {
+            Some(EINTR) | Some(ECONNABORTED) => AcceptRetry {
+                pause: None,
+                fd_exhausted: false,
+            },
+            Some(EMFILE) | Some(ENFILE) => {
+                let pause = self.next;
+                self.next = (self.next * 2).min(AcceptBackoff::CAP);
+                AcceptRetry {
+                    pause: Some(pause),
+                    fd_exhausted: true,
+                }
+            }
+            _ => AcceptRetry {
+                pause: Some(AcceptBackoff::FLOOR),
+                fd_exhausted: false,
+            },
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,5 +290,55 @@ mod tests {
         assert!(p.idle_timeout.is_some());
         assert!(p.header_timeout.is_some());
         assert!(p.write_stall_timeout.is_some());
+    }
+
+    #[test]
+    fn admit_table() {
+        let p = LifecyclePolicy {
+            fd_reserve: 10,
+            max_conns: Some(5),
+            ..LifecyclePolicy::default()
+        };
+        let cases = [
+            // (fd, limit, open, shed_hit, expected)
+            (90, 100, 0, false, Admission::FdReserve), // fd + reserve == limit
+            (89, 100, 0, false, Admission::Admit),     // one below
+            (10, 100, 5, false, Admission::Unavailable),
+            (10, 100, 4, true, Admission::Shed),
+            (95, 100, 9, true, Admission::FdReserve), // reserve > cap > shed
+            (10, 100, 9, true, Admission::Unavailable), // cap > shed
+            (10, u64::MAX, 0, false, Admission::Admit), // failed limit query
+        ];
+        for (fd, limit, open, shed, want) in cases {
+            assert_eq!(p.admit(fd, limit, open, shed), want, "fd {fd} open {open}");
+        }
+        let no_reserve = LifecyclePolicy {
+            fd_reserve: 0,
+            ..LifecyclePolicy::default()
+        };
+        assert_eq!(no_reserve.admit(99, 100, 0, false), Admission::Admit);
+        assert_eq!(no_reserve.admit(200, 100, 0, false), Admission::Admit);
+    }
+
+    #[test]
+    fn accept_backoff_doubles_to_the_cap_and_resets() {
+        let ms = Duration::from_millis;
+        let emfile = io::Error::from_raw_os_error(EMFILE);
+        let mut b = AcceptBackoff::default();
+        let pauses: Vec<_> = (0..9).map(|_| b.on_error(&emfile).pause.unwrap()).collect();
+        let want = [1, 2, 4, 8, 16, 32, 64, 100, 100].map(ms);
+        assert_eq!(pauses, want);
+        let enfile = b.on_error(&io::Error::from_raw_os_error(ENFILE));
+        assert_eq!((enfile.pause, enfile.fd_exhausted), (Some(ms(100)), true));
+        b.reset();
+        assert_eq!(b.on_error(&emfile).pause, Some(ms(1)));
+        for errno in [EINTR, ECONNABORTED] {
+            let r = b.on_error(&io::Error::from_raw_os_error(errno));
+            assert_eq!((r.pause, r.fd_exhausted), (None, false));
+        }
+        // Immediate retries leave the exhaustion sequence where it was.
+        assert_eq!(b.on_error(&emfile).pause, Some(ms(2)));
+        let other = b.on_error(&io::Error::from_raw_os_error(22));
+        assert_eq!((other.pause, other.fd_exhausted), (Some(ms(1)), false));
     }
 }

@@ -29,11 +29,11 @@
 //! surviving worker (preserving their kernel accept queues) so the port
 //! never silently loses a hash share.
 //!
-//! Robustness layer: the accept path sheds load above `shed_watermark` open
-//! connections, refuses with `503 Connection: close` above the hard
-//! `max_conns` cap, keeps an fd headroom reserve (EMFILE/ENFILE answered
-//! with backoff instead of a spinning or dying accept loop), and survives
-//! worker crashes by re-routing to the remaining workers;
+//! Robustness layer: the accept path runs the admission decision both
+//! servers share ([`LifecyclePolicy::admit`]: fd reserve, `max_conns` cap,
+//! shed watermark over open connections), answers EMFILE/ENFILE with
+//! [`httpcore::AcceptBackoff`] instead of a spinning or dying accept loop,
+//! and survives worker crashes by re-routing to the remaining workers;
 //! [`NioServer::shutdown_graceful`] drains — idle connections close
 //! immediately, in-flight responses finish, and whatever is still unflushed
 //! at the deadline is cut and reported as aborted. The
@@ -41,21 +41,24 @@
 //! under a fault plan. Every deliberate teardown is recorded in a typed
 //! [`obs::LiveEnds`] tally.
 
+#![forbid(unsafe_code)]
+
 pub use faults::AcceptMode;
 pub use reactor::BackendKind;
 
 use connslab::{Handle, Slab};
 use faults::DrainReport;
+use httpcore::sys::{bind_reuseport, nofile_limits, set_linger_zero, set_rcvbuf, set_sndbuf};
 use httpcore::{
-    ContentStore, HeadPool, LifecyclePolicy, Method, ParseError, ParseOutcome, ReplyQueue,
-    RequestParser, RequestPool, Status, Version,
+    AcceptBackoff, Admission, ContentStore, HeadPool, LifecyclePolicy, Method, ParseError,
+    ParseOutcome, ReplyQueue, RequestParser, RequestPool, Status, Version,
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Stage, StageHists};
 use parking_lot::Mutex;
 use reactor::{DeadlineWheel, EpollSelector, Event, Interest, Selector, Token, Waker};
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, FromRawFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -457,9 +460,9 @@ fn take_crash_token(ctl: &NioCtl) -> bool {
         .is_ok()
 }
 
-/// Admission defenses shared by both accept paths: fd-reserve refusal,
-/// `max_conns` → `503`, shed watermark → abortive close. Returns the
-/// configured stream (nodelay, non-blocking, sized send buffer) when the
+/// The shared admission decision ([`LifecyclePolicy::admit`]) on a freshly
+/// accepted stream, with open connections as the shed pressure. Returns the
+/// configured stream (nodelay, non-blocking, sized kernel buffers) when the
 /// connection is admitted, `None` when it was refused (counters and
 /// lifecycle tally already recorded).
 #[allow(clippy::too_many_arguments)]
@@ -473,33 +476,19 @@ fn admit_stream(
     refusal_head: &mut Vec<u8>,
     date: &str,
 ) -> Option<TcpStream> {
-    // Fd headroom reserve: the accepted fd number tells us how close the
-    // process is to RLIMIT_NOFILE (fds are allocated lowest-free). Inside
-    // the reserve, refuse abortively — keeping this connection could starve
-    // teardown plumbing.
-    if cfg.lifecycle.fd_reserve > 0
-        && stream.as_raw_fd() as u64 + cfg.lifecycle.fd_reserve >= fd_limit
-    {
-        stats.refused.fetch_add(1, Ordering::Relaxed);
-        ends.record(EndCause::FdReserve);
-        let _ = set_linger_zero(&stream);
-        return None;
-    }
-    // Hard admission cap: refuse politely with a `503 Connection: close` so
-    // well-behaved clients see an HTTP answer, not a silent drop.
     let open = gauges.get(GaugeKind::OpenConns);
-    if cfg.lifecycle.max_conns.is_some_and(|cap| open >= cap) {
+    let shed_hit = cfg.shed_watermark.is_some_and(|w| open >= w);
+    let admission = cfg
+        .lifecycle
+        .admit(stream.as_raw_fd() as u64, fd_limit, open, shed_hit);
+    if admission != Admission::Admit {
         stats.refused.fetch_add(1, Ordering::Relaxed);
-        ends.record(EndCause::Refused);
-        respond_unavailable(&stream, refusal_head, date);
-        return None;
-    }
-    if cfg.shed_watermark.is_some_and(|w| open >= w) {
-        // Admission control: abortive close so the client observes the
-        // refusal immediately.
-        stats.refused.fetch_add(1, Ordering::Relaxed);
-        ends.record(EndCause::Refused);
-        let _ = set_linger_zero(&stream);
+        ends.record(if admission == Admission::FdReserve {
+            EndCause::FdReserve
+        } else {
+            EndCause::Refused
+        });
+        admission.refuse(&stream, refusal_head, date);
         return None;
     }
     stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -547,11 +536,8 @@ fn acceptor_loop(
     let mut events = Vec::new();
     let mut listening = false;
     let mut router = Router::new(links);
-    let fd_limit = rlimit_nofile();
-    // EMFILE/ENFILE backoff: start at 1 ms, double up to 100 ms. A fixed
-    // 1 ms pause under fd exhaustion is a busy loop that starves the very
-    // teardowns that would free fds.
-    let mut exhaustion_backoff = Duration::from_millis(1);
+    let fd_limit = nofile_limits().0;
+    let mut backoff = AcceptBackoff::default();
     let mut resume_at: Option<Instant> = None;
     // Refusal plumbing: one reused head buffer and a ~1 s date cache, so a
     // storm of 503 refusals at the admission cap allocates nothing.
@@ -581,7 +567,7 @@ fn acceptor_loop(
         if listening {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    exhaustion_backoff = Duration::from_millis(1);
+                    backoff.reset();
                     if let Some(stream) = admit_stream(
                         stream,
                         &cfg,
@@ -599,22 +585,12 @@ fn acceptor_loop(
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
                 Err(e) => {
                     stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    match e.raw_os_error() {
-                        // EINTR / ECONNABORTED: a signal or a peer that hung
-                        // up between SYN and accept — retry immediately,
-                        // nothing is wrong with the listener.
-                        Some(EINTR) | Some(ECONNABORTED) => {}
-                        // EMFILE / ENFILE: fd exhaustion. Pause with
-                        // exponential backoff — teardowns elsewhere will free
-                        // fds; exiting here would silently kill the whole
-                        // accept path.
-                        Some(EMFILE) | Some(ENFILE) => {
-                            ends.record(EndCause::FdReserve);
-                            resume_at = Some(Instant::now() + exhaustion_backoff);
-                            exhaustion_backoff =
-                                (exhaustion_backoff * 2).min(Duration::from_millis(100));
-                        }
-                        _ => resume_at = Some(Instant::now() + Duration::from_millis(1)),
+                    let retry = backoff.on_error(&e);
+                    if retry.fd_exhausted {
+                        ends.record(EndCause::FdReserve);
+                    }
+                    if let Some(pause) = retry.pause {
+                        resume_at = Some(Instant::now() + pause);
                     }
                     continue;
                 }
@@ -683,146 +659,6 @@ impl Router {
                 }
             }
         }
-    }
-}
-
-/// Bind a `SO_REUSEPORT` TCP listener on loopback. `addr: None` picks an
-/// ephemeral port (the bootstrap shard); `Some(addr)` joins an existing
-/// reuseport group so the kernel hashes incoming connections across all
-/// member listeners. The std library exposes no reuseport knob, so this
-/// goes through the same raw-syscall idiom as `set_sndbuf` below.
-fn bind_reuseport(addr: Option<SocketAddr>) -> io::Result<(TcpListener, SocketAddr)> {
-    #[repr(C)]
-    struct SockaddrIn {
-        sin_family: u16,
-        /// Network byte order.
-        sin_port: u16,
-        /// Network byte order (bytes as written).
-        sin_addr: [u8; 4],
-        sin_zero: [u8; 8],
-    }
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-        fn bind(sockfd: i32, addr: *const SockaddrIn, addrlen: u32) -> i32;
-        fn listen(sockfd: i32, backlog: i32) -> i32;
-        fn getsockname(sockfd: i32, addr: *mut SockaddrIn, addrlen: *mut u32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_NONBLOCK: i32 = 0x800;
-    const SOCK_CLOEXEC: i32 = 0x8_0000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-    const SO_REUSEPORT: i32 = 15;
-
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    // On any later failure the fd must not leak.
-    let fail = |fd: i32| -> io::Error {
-        let e = io::Error::last_os_error();
-        unsafe { close(fd) };
-        e
-    };
-    let one: i32 = 1;
-    for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-        let r = unsafe {
-            setsockopt(
-                fd,
-                SOL_SOCKET,
-                opt,
-                &one as *const i32 as *const _,
-                std::mem::size_of::<i32>() as u32,
-            )
-        };
-        if r < 0 {
-            return Err(fail(fd));
-        }
-    }
-    let port = addr.map_or(0, |a| a.port());
-    let sa = SockaddrIn {
-        sin_family: AF_INET as u16,
-        sin_port: port.to_be(),
-        sin_addr: [127, 0, 0, 1],
-        sin_zero: [0; 8],
-    };
-    let r = unsafe { bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) };
-    if r < 0 {
-        return Err(fail(fd));
-    }
-    let r = unsafe { listen(fd, 1024) };
-    if r < 0 {
-        return Err(fail(fd));
-    }
-    let mut bound = SockaddrIn {
-        sin_family: 0,
-        sin_port: 0,
-        sin_addr: [0; 4],
-        sin_zero: [0; 8],
-    };
-    let mut len = std::mem::size_of::<SockaddrIn>() as u32;
-    let r = unsafe { getsockname(fd, &mut bound, &mut len) };
-    if r < 0 {
-        return Err(fail(fd));
-    }
-    let local = SocketAddr::from((bound.sin_addr, u16::from_be(bound.sin_port)));
-    let listener = unsafe { TcpListener::from_raw_fd(fd) };
-    Ok((listener, local))
-}
-
-const EINTR: i32 = 4;
-const EMFILE: i32 = 24;
-const ENFILE: i32 = 23;
-const ECONNABORTED: i32 = 103;
-
-/// Best-effort `503 Service Unavailable, Connection: close` on a refused
-/// connection. The stream is still blocking here and the head is far
-/// smaller than any socket buffer, so the write cannot stall the acceptor.
-/// The head renders into caller-owned scratch and the date string is the
-/// caller's cached copy: a refusal storm at the admission cap allocates
-/// nothing per connection.
-fn respond_unavailable(stream: &TcpStream, head: &mut Vec<u8>, date: &str) {
-    use std::io::Write;
-    head.clear();
-    httpcore::write_head(
-        head,
-        Version::Http11,
-        Status::ServiceUnavailable,
-        0,
-        false,
-        date,
-    );
-    let mut w = stream;
-    let _ = w.write_all(head);
-}
-
-/// Current `RLIMIT_NOFILE` soft limit (u64::MAX when the query fails, which
-/// effectively disables the reserve rather than refusing everything).
-fn rlimit_nofile() -> u64 {
-    #[repr(C)]
-    struct Rlimit {
-        cur: u64,
-        max: u64,
-    }
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    let r = unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) };
-    if r == 0 {
-        lim.cur
-    } else {
-        u64::MAX
     }
 }
 
@@ -953,10 +789,10 @@ struct ShardState {
     cell: Arc<ShardCell>,
     /// Listener fds currently registered with the selector.
     registered: bool,
-    /// EMFILE/ENFILE backoff: listeners stay deregistered until this
-    /// instant so teardowns elsewhere can free fds.
+    /// Accept-error pause: listeners stay deregistered until this instant
+    /// (under EMFILE/ENFILE, so teardowns elsewhere can free fds).
     resume_at: Option<Instant>,
-    backoff: Duration,
+    backoff: AcceptBackoff,
     /// Local copy of `NioCtl::orphan_epoch`; a mismatch means a crashed
     /// peer surrendered listeners for adoption.
     seen_orphan_epoch: u64,
@@ -1044,9 +880,9 @@ fn worker_loop(
         cell: cell.expect("sharded worker has a gauge cell"),
         registered: false,
         resume_at: None,
-        backoff: Duration::from_millis(1),
+        backoff: AcceptBackoff::default(),
         seen_orphan_epoch: 0,
-        fd_limit: rlimit_nofile(),
+        fd_limit: nofile_limits().0,
     });
     // Connection states live in a generation-tagged slab indexed by the low
     // bits of the selector token: dispatch is a bounds-checked array load,
@@ -1232,7 +1068,7 @@ fn worker_loop(
                 loop {
                     match s.listeners[li].accept() {
                         Ok((stream, _)) => {
-                            s.backoff = Duration::from_millis(1);
+                            s.backoff.reset();
                             let Some(stream) = admit_stream(
                                 stream,
                                 &cfg,
@@ -1262,31 +1098,24 @@ fn worker_loop(
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) => match e.raw_os_error() {
-                            Some(EINTR) | Some(ECONNABORTED) => {
-                                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                            }
-                            Some(EMFILE) | Some(ENFILE) => {
-                                // Fd exhaustion: deregister the shard's
-                                // listeners and back off exponentially —
-                                // the selector keeps serving established
-                                // connections (whose teardowns free fds)
-                                // instead of spinning on accept.
-                                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                        Err(e) => {
+                            stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                            let retry = s.backoff.on_error(&e);
+                            if retry.fd_exhausted {
                                 ends.record(EndCause::FdReserve);
-                                for l in &s.listeners {
-                                    let _ = selector.deregister(l.as_raw_fd());
-                                }
-                                s.registered = false;
-                                s.resume_at = Some(Instant::now() + s.backoff);
-                                s.backoff = (s.backoff * 2).min(Duration::from_millis(100));
-                                break;
                             }
-                            _ => {
-                                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                                break;
+                            let Some(pause) = retry.pause else { continue };
+                            // Pause: deregister the shard's listeners — the
+                            // selector keeps serving established connections
+                            // (whose teardowns free fds) instead of spinning
+                            // on accept.
+                            for l in &s.listeners {
+                                let _ = selector.deregister(l.as_raw_fd());
                             }
-                        },
+                            s.registered = false;
+                            s.resume_at = Some(Instant::now() + pause);
+                            break;
+                        }
                     }
                 }
                 continue;
@@ -1711,85 +1540,6 @@ fn flush_output(conn: &mut Conn, stats: &NioStats, pool: &mut HeadPool) -> bool 
         }
     }
     false
-}
-
-/// `setsockopt(SOL_SOCKET, opt, bytes)` — shared plumbing for the buffer
-/// sizing knobs (the kernel doubles the value for bookkeeping and clamps
-/// to `net.core.{w,r}mem_max`).
-fn set_sockbuf(stream: &TcpStream, opt: i32, bytes: i32) -> io::Result<()> {
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    let r = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            opt,
-            &bytes as *const i32 as *const _,
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
-}
-
-/// SO_SNDBUF: size the kernel send buffer.
-fn set_sndbuf(stream: &TcpStream, bytes: i32) -> io::Result<()> {
-    set_sockbuf(stream, 7, bytes)
-}
-
-/// SO_RCVBUF: size the kernel receive buffer.
-fn set_rcvbuf(stream: &TcpStream, bytes: i32) -> io::Result<()> {
-    set_sockbuf(stream, 8, bytes)
-}
-
-/// SO_LINGER(0): make `close()` send RST instead of FIN, so a shed client
-/// observes ECONNRESET before any reply — an explicit refusal.
-fn set_linger_zero(stream: &TcpStream) -> io::Result<()> {
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    const SO_LINGER: i32 = 13;
-    let linger = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    let r = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_LINGER,
-            &linger as *const Linger as *const _,
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -2270,6 +2020,25 @@ mod tests {
         assert!(!head.keep_alive, "refusal must close");
         assert_eq!(server.ends().get(obs::EndCause::Refused), 1);
         assert_eq!(server.stats().refused.load(Ordering::Relaxed), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn fd_reserve_at_the_soft_limit_resets_every_connection() {
+        // A reserve as large as the soft RLIMIT_NOFILE covers every fd:
+        // each connection is reset before any reply.
+        let server = start_with_lifecycle(LifecyclePolicy {
+            fd_reserve: httpcore::sys::nofile_limits().0,
+            ..LifecyclePolicy::default()
+        });
+        for _ in 0..3 {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let err = s.read(&mut [0u8; 64]).expect_err("reset, not a reply");
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        }
+        assert_eq!(server.ends().get(obs::EndCause::FdReserve), 3);
+        assert_eq!(server.stats().refused.load(Ordering::Relaxed), 3);
         server.shutdown();
     }
 

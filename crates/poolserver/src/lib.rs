@@ -20,12 +20,20 @@
 //! hostage for a full read slice), [`PoolServer::shutdown_graceful`] can
 //! drain — finish in-flight responses, close idle connections, report
 //! drained vs aborted — and the [`faults::FaultTarget`] hooks can stall
-//! accepts or crash/restart pool threads under a fault plan.
+//! accepts or crash/restart pool threads under a fault plan. The accept
+//! path runs the same admission decision as the event server
+//! ([`LifecyclePolicy::admit`]), with busy threads as the shed pressure.
+//!
+//! The only FFI here is [`WakePipe`]: this crate stays free of `reactor`,
+//! so the wire-equivalence tests can use it as their independent reference.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use faults::DrainReport;
+use httpcore::sys::{nofile_limits, set_linger_zero, set_rcvbuf, set_sndbuf};
 use httpcore::{
-    ContentStore, LifecyclePolicy, Method, ParseError, ParseOutcome, RequestParser, RequestPool,
-    Status, Version,
+    AcceptBackoff, Admission, ContentStore, LifecyclePolicy, Method, ParseError, ParseOutcome,
+    RequestParser, RequestPool, Status, Version,
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, Stage, StageHists};
 use parking_lot::Mutex;
@@ -69,7 +77,8 @@ pub struct PoolStats {
     pub parse_errors: AtomicU64,
     /// Threads currently bound to a connection.
     pub busy_threads: AtomicU64,
-    /// Connections refused by the load-shedding watermark.
+    /// Connections refused by the fd reserve, the `max_conns` cap, or the
+    /// load-shedding watermark.
     pub refused: AtomicU64,
     /// Pool threads currently running (drops when a fault crashes one).
     pub alive_threads: AtomicU64,
@@ -352,10 +361,9 @@ fn pool_thread(
     // connections served by this thread instead of being rebuilt from
     // nothing for every accepted connection.
     let mut req_pool = RequestPool::new();
-    let fd_limit = rlimit_nofile();
-    // EMFILE/ENFILE backoff: retrying at full speed starves the very
-    // connection teardowns that would free fds.
-    let mut exhaustion_backoff = Duration::from_millis(1);
+    let fd_limit = nofile_limits().0;
+    let mut backoff = AcceptBackoff::default();
+    let mut refusal_head = Vec::new();
     loop {
         if ctl.stop.load(Ordering::Relaxed) || ctl.draining.load(Ordering::Relaxed) {
             break;
@@ -378,41 +386,24 @@ fn pool_thread(
         };
         match accepted {
             Ok((stream, _)) => {
-                exhaustion_backoff = Duration::from_millis(1);
-                // Fd headroom reserve: the accepted fd number tells us how
-                // close the process is to RLIMIT_NOFILE (fds are allocated
-                // lowest-free). Inside the reserve, refuse abortively.
-                if cfg.lifecycle.fd_reserve > 0
-                    && stream.as_raw_fd() as u64 + cfg.lifecycle.fd_reserve >= fd_limit
-                {
-                    stats.refused.fetch_add(1, Ordering::Relaxed);
-                    ends.record(EndCause::FdReserve);
-                    let _ = set_linger_zero(&stream);
-                    continue;
-                }
-                // Hard admission cap: refuse politely with `503
-                // Connection: close` so well-behaved clients see an HTTP
-                // answer, not a silent drop.
-                if cfg
-                    .lifecycle
-                    .max_conns
-                    .is_some_and(|cap| gauges.get(GaugeKind::OpenConns) >= cap)
-                {
-                    stats.refused.fetch_add(1, Ordering::Relaxed);
-                    ends.record(EndCause::Refused);
-                    respond_unavailable(&stream);
-                    continue;
-                }
-                let shed = cfg
+                backoff.reset();
+                let shed_hit = cfg
                     .shed_watermark
                     .is_some_and(|w| stats.busy_threads.load(Ordering::Relaxed) >= w);
-                if shed {
-                    // Admission control: an abortive close, so the client
-                    // observes the refusal instead of queueing behind an
-                    // exhausted pool.
+                let admission = cfg.lifecycle.admit(
+                    stream.as_raw_fd() as u64,
+                    fd_limit,
+                    gauges.get(GaugeKind::OpenConns),
+                    shed_hit,
+                );
+                if admission != Admission::Admit {
                     stats.refused.fetch_add(1, Ordering::Relaxed);
-                    ends.record(EndCause::Refused);
-                    let _ = set_linger_zero(&stream);
+                    ends.record(if admission == Admission::FdReserve {
+                        EndCause::FdReserve
+                    } else {
+                        EndCause::Refused
+                    });
+                    admission.refuse(&stream, &mut refusal_head, &httpcore::now_http_date());
                     continue;
                 }
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -445,26 +436,16 @@ fn pool_thread(
                 gauges.sub(GaugeKind::OpenConns, 1);
                 stats.busy_threads.fetch_sub(1, Ordering::Relaxed);
             }
-            Err(e) => match e.raw_os_error() {
-                // A connection that died between SYN and accept, or a
-                // signal: retry immediately, nothing is wrong with us.
-                Some(EINTR) | Some(ECONNABORTED) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                }
-                // Out of fds (process or system wide): back off
-                // exponentially so in-flight teardowns can release some.
-                Some(EMFILE) | Some(ENFILE) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+            Err(e) => {
+                stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                let retry = backoff.on_error(&e);
+                if retry.fd_exhausted {
                     ends.record(EndCause::FdReserve);
-                    std::thread::sleep(exhaustion_backoff);
-                    exhaustion_backoff =
-                        (exhaustion_backoff * 2).min(Duration::from_millis(100));
                 }
-                _ => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(1));
+                if let Some(pause) = retry.pause {
+                    std::thread::sleep(pause);
                 }
-            },
+            }
         }
     }
     stats.alive_threads.fetch_sub(1, Ordering::SeqCst);
@@ -503,9 +484,9 @@ fn accept_or_wait(
 }
 
 /// A non-blocking self-pipe: the pool's wake-up for the thread blocked in
-/// `poll(2)` under the accept mutex. Raw syscalls in the same idiom as
-/// [`set_linger_zero`]; this crate stays free of the `reactor` crate, so the
-/// wire-equivalence tests can use it as their independent reference.
+/// `poll(2)` under the accept mutex. This crate stays free of the `reactor`
+/// crate, so the wire-equivalence tests can use it as their independent
+/// reference.
 struct WakePipe {
     read_fd: i32,
     write_fd: i32,
@@ -883,133 +864,6 @@ fn write_two(stream: &mut TcpStream, head: &[u8], body: &[u8]) -> io::Result<()>
         }
     }
     Ok(())
-}
-
-// Raw errno values for the accept-path tolerance matches (no libc crate in
-// the workspace, per dependency policy).
-const EINTR: i32 = 4;
-const ENFILE: i32 = 23;
-const EMFILE: i32 = 24;
-const ECONNABORTED: i32 = 103;
-
-/// Answer an over-cap connection with `503 Connection: close` — the one
-/// refusal that still speaks HTTP. Blocking write on a fresh socket: the
-/// head fits the send buffer, so this cannot stall the accept loop.
-fn respond_unavailable(stream: &TcpStream) {
-    let mut head = Vec::with_capacity(160);
-    let date = httpcore::now_http_date();
-    httpcore::write_head(
-        &mut head,
-        Version::Http11,
-        Status::ServiceUnavailable,
-        0,
-        false,
-        &date,
-    );
-    let mut w = stream;
-    let _ = w.write_all(&head);
-}
-
-/// Current `RLIMIT_NOFILE` soft limit (u64::MAX when the query fails, which
-/// effectively disables the reserve rather than refusing everything).
-fn rlimit_nofile() -> u64 {
-    #[repr(C)]
-    struct Rlimit {
-        cur: u64,
-        max: u64,
-    }
-    extern "C" {
-        fn getrlimit(resource: i32, rlim: *mut Rlimit) -> i32;
-    }
-    const RLIMIT_NOFILE: i32 = 7;
-    let mut lim = Rlimit { cur: 0, max: 0 };
-    let r = unsafe { getrlimit(RLIMIT_NOFILE, &mut lim) };
-    if r == 0 {
-        lim.cur
-    } else {
-        u64::MAX
-    }
-}
-
-/// `setsockopt(SOL_SOCKET, opt, bytes)` — shared plumbing for the buffer
-/// sizing knobs (the kernel doubles the value for bookkeeping and clamps
-/// to `net.core.{w,r}mem_max`).
-fn set_sockbuf(stream: &TcpStream, opt: i32, bytes: i32) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    let r = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            opt,
-            &bytes as *const i32 as *const _,
-            std::mem::size_of::<i32>() as u32,
-        )
-    };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
-}
-
-/// SO_SNDBUF: size the kernel send buffer.
-fn set_sndbuf(stream: &TcpStream, bytes: i32) -> io::Result<()> {
-    set_sockbuf(stream, 7, bytes)
-}
-
-/// SO_RCVBUF: size the kernel receive buffer.
-fn set_rcvbuf(stream: &TcpStream, bytes: i32) -> io::Result<()> {
-    set_sockbuf(stream, 8, bytes)
-}
-
-/// SO_LINGER(0): make `close()` send RST instead of FIN, so the client's
-/// next operation observes ECONNRESET — httperf's "connection reset" error.
-fn set_linger_zero(stream: &TcpStream) -> io::Result<()> {
-    use std::os::fd::AsRawFd;
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    const SO_LINGER: i32 = 13;
-    let linger = Linger {
-        l_onoff: 1,
-        l_linger: 0,
-    };
-    let r = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            SOL_SOCKET,
-            SO_LINGER,
-            &linger as *const Linger as *const _,
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1498,6 +1352,28 @@ mod tests {
         assert!(!head.keep_alive, "refusal must close");
         assert_eq!(server.ends().get(EndCause::Refused), 1);
         assert_eq!(server.stats().refused.load(Ordering::Relaxed), 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn fd_reserve_at_the_soft_limit_resets_every_connection() {
+        // A reserve as large as the soft RLIMIT_NOFILE covers every fd:
+        // each connection is reset before any reply.
+        let server = start_with_lifecycle(
+            2,
+            LifecyclePolicy {
+                fd_reserve: nofile_limits().0,
+                ..LifecyclePolicy::default()
+            },
+        );
+        for _ in 0..3 {
+            let mut s = TcpStream::connect(server.addr()).unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let err = s.read(&mut [0u8; 64]).expect_err("reset, not a reply");
+            assert_eq!(err.kind(), io::ErrorKind::ConnectionReset);
+        }
+        assert_eq!(server.ends().get(EndCause::FdReserve), 3);
+        assert_eq!(server.stats().refused.load(Ordering::Relaxed), 3);
         server.shutdown();
     }
 

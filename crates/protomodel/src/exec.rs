@@ -8,9 +8,9 @@
 //! sees them: `read() == 0` is a clean FIN, `ECONNRESET` (and kin) is an
 //! abortive close, a read-timeout is a hang.
 
+use httpcore::sys::{set_linger_zero, set_rcvbuf};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::os::fd::AsRawFd;
 use std::time::Duration;
 
 use crate::model::{ModelCtx, Sequence, Terminal, STALL_CLIENT_RCVBUF};
@@ -174,45 +174,4 @@ fn classify(e: &io::Error) -> EndCause {
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => EndCause::Hung,
         _ => EndCause::Reset,
     }
-}
-
-fn setsockopt_raw(fd: i32, opt: i32, val: &[u8]) -> io::Result<()> {
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    const SOL_SOCKET: i32 = 1;
-    let r = unsafe { setsockopt(fd, SOL_SOCKET, opt, val.as_ptr() as *const _, val.len() as u32) };
-    if r < 0 {
-        Err(io::Error::last_os_error())
-    } else {
-        Ok(())
-    }
-}
-
-fn set_rcvbuf(stream: &TcpStream, bytes: i32) -> io::Result<()> {
-    const SO_RCVBUF: i32 = 8;
-    setsockopt_raw(stream.as_raw_fd(), SO_RCVBUF, &bytes.to_ne_bytes())
-}
-
-fn set_linger_zero(stream: &TcpStream) -> io::Result<()> {
-    const SO_LINGER: i32 = 13;
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    let val = Linger { l_onoff: 1, l_linger: 0 };
-    let bytes = unsafe {
-        std::slice::from_raw_parts(
-            &val as *const Linger as *const u8,
-            std::mem::size_of::<Linger>(),
-        )
-    };
-    setsockopt_raw(stream.as_raw_fd(), SO_LINGER, bytes)
 }

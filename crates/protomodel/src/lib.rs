@@ -35,6 +35,8 @@
 //! poolserver, with per-transition coverage and the mutation teeth
 //! check.
 
+#![forbid(unsafe_code)]
+
 pub mod corpus;
 pub mod exec;
 pub mod model;

@@ -587,37 +587,6 @@ fn sharded_mode_is_wire_equivalent_across_many_connections() {
     sharded.shutdown();
 }
 
-/// SO_LINGER(0) so the drop below sends RST instead of FIN — the abortive
-/// client the conformance model calls `Terminal::Reset`.
-fn set_linger_zero(stream: &TcpStream) {
-    use std::os::fd::AsRawFd;
-    extern "C" {
-        fn setsockopt(
-            sockfd: i32,
-            level: i32,
-            optname: i32,
-            optval: *const std::os::raw::c_void,
-            optlen: u32,
-        ) -> i32;
-    }
-    #[repr(C)]
-    struct Linger {
-        l_onoff: i32,
-        l_linger: i32,
-    }
-    let val = Linger { l_onoff: 1, l_linger: 0 };
-    let r = unsafe {
-        setsockopt(
-            stream.as_raw_fd(),
-            1,  // SOL_SOCKET
-            13, // SO_LINGER
-            &val as *const Linger as *const _,
-            std::mem::size_of::<Linger>() as u32,
-        )
-    };
-    assert_eq!(r, 0, "SO_LINGER(0)");
-}
-
 #[test]
 fn rst_after_partial_head_is_absorbed_identically() {
     // Promoted from the conformance corpus: a client sends half a request
@@ -658,7 +627,9 @@ fn rst_after_partial_head_is_absorbed_identically() {
             // Give the server a chance to observe the partial head before
             // the abort, so the RST lands on a connection mid-parse.
             std::thread::sleep(Duration::from_millis(20));
-            set_linger_zero(&s);
+            // SO_LINGER(0): the drop sends RST instead of FIN — the
+            // abortive client the conformance model calls `Terminal::Reset`.
+            httpcore::sys::set_linger_zero(&s).expect("SO_LINGER(0)");
             drop(s);
             let raw = replay(addr, &probe);
             assert_eq!(
