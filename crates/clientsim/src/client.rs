@@ -107,16 +107,16 @@ pub struct Client {
 }
 
 impl Client {
-    /// Create a client with its own RNG stream and first session plan.
-    pub fn new(id: ClientId, cfg: ClientConfig, files: &FileSet, root_rng: &Rng) -> Client {
-        let mut rng = root_rng.split_labeled(id.0 as u64);
-        let plan = SessionPlan::generate(&cfg.session, files, &mut rng);
+    /// Create a client with its own RNG stream. It draws nothing until
+    /// [`Client::on_start`] plans its first session, so building a large
+    /// population costs no session draws.
+    pub fn new(id: ClientId, cfg: ClientConfig, root_rng: &Rng) -> Client {
         Client {
             id,
+            rng: root_rng.split_labeled(id.0 as u64),
             cfg,
-            rng,
             phase: ClientPhase::Idle,
-            plan,
+            plan: SessionPlan { bursts: Vec::new() },
             burst_idx: 0,
             outstanding: std::collections::VecDeque::new(),
             connect_started: None,
@@ -164,9 +164,13 @@ impl Client {
         self.session_had_error = false;
     }
 
-    /// The client begins its life: connect for the first session.
-    pub fn on_start(&mut self, now: SimTime) -> ClientAction {
+    /// The client begins its life: plan the first session and connect for
+    /// it. Every session's plan is drawn when the session starts, from the
+    /// client's own stream, so the draws are the same whatever the order
+    /// clients start in.
+    pub fn on_start(&mut self, now: SimTime, files: &FileSet) -> ClientAction {
         assert_eq!(self.phase, ClientPhase::Idle);
+        self.fresh_session(files);
         self.phase = ClientPhase::Connecting;
         self.connect_started = Some(now);
         ClientAction::Connect
@@ -343,7 +347,7 @@ mod tests {
         let root = Rng::new(7);
         let mut build_rng = Rng::new(8);
         let files = FileSet::build(&SurgeConfig::default(), &mut build_rng);
-        let client = Client::new(ClientId(0), ClientConfig::default(), &files, &root);
+        let client = Client::new(ClientId(0), ClientConfig::default(), &root);
         let m = ClientMetrics::new(SimDuration::from_secs(1));
         (client, files, m)
     }
@@ -355,7 +359,7 @@ mod tests {
     #[test]
     fn start_connect_burst_cycle() {
         let (mut c, files, mut m) = fixture();
-        assert_eq!(c.on_start(t(0)), ClientAction::Connect);
+        assert_eq!(c.on_start(t(0), &files), ClientAction::Connect);
         assert_eq!(c.phase(), ClientPhase::Connecting);
         let act = c.on_connected(t(5), &mut m);
         let ClientAction::SendBurst(reqs) = act else {
@@ -389,7 +393,7 @@ mod tests {
     #[test]
     fn mid_burst_replies_return_none() {
         let (mut c, files, mut m) = fixture();
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         let ClientAction::SendBurst(reqs) = c.on_connected(t(1), &mut m) else {
             panic!()
         };
@@ -402,7 +406,7 @@ mod tests {
     #[test]
     fn timeout_aborts_session_and_reconnects() {
         let (mut c, files, mut m) = fixture();
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         c.on_connected(t(1), &mut m);
         let act = c.on_timeout(t(10_001), &files, &mut m);
         assert_eq!(act, ClientAction::Connect);
@@ -415,7 +419,7 @@ mod tests {
     #[test]
     fn reset_counts_and_restarts() {
         let (mut c, files, mut m) = fixture();
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         c.on_connected(t(1), &mut m);
         // Simulate think → server idle-closed → send hits reset.
         let act = c.on_reset(t(20_000), &files, &mut m);
@@ -426,7 +430,7 @@ mod tests {
     #[test]
     fn refusal_backs_off() {
         let (mut c, files, mut m) = fixture();
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         let act = c.on_refused(t(1), &files, &mut m);
         assert_eq!(
             act,
@@ -450,9 +454,9 @@ mod tests {
             }),
             ..ClientConfig::default()
         };
-        let mut c = Client::new(ClientId(0), cfg, &files, &root);
+        let mut c = Client::new(ClientId(0), cfg, &root);
         let mut m = ClientMetrics::new(SimDuration::from_secs(1));
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         c.on_connected(t(1), &mut m);
         // Consecutive timeouts escalate the backoff: 100 ms, 200 ms, 400 ms.
         let mut delays = Vec::new();
@@ -475,7 +479,7 @@ mod tests {
     #[test]
     fn full_session_completes_and_renews() {
         let (mut c, files, mut m) = fixture();
-        c.on_start(t(0));
+        c.on_start(t(0), &files);
         let mut now = 1u64;
         let mut action = c.on_connected(t(now), &mut m);
         let mut sessions = 0;
@@ -514,11 +518,11 @@ mod tests {
         let root = Rng::new(7);
         let mut build_rng = Rng::new(8);
         let files = FileSet::build(&SurgeConfig::default(), &mut build_rng);
-        let mut a = Client::new(ClientId(3), ClientConfig::default(), &files, &root);
-        let mut b = Client::new(ClientId(3), ClientConfig::default(), &files, &root);
+        let mut a = Client::new(ClientId(3), ClientConfig::default(), &root);
+        let mut b = Client::new(ClientId(3), ClientConfig::default(), &root);
         let mut m = ClientMetrics::new(SimDuration::from_secs(1));
-        a.on_start(t(0));
-        b.on_start(t(0));
+        a.on_start(t(0), &files);
+        b.on_start(t(0), &files);
         assert_eq!(a.on_connected(t(1), &mut m), b.on_connected(t(1), &mut m));
     }
 }

@@ -16,7 +16,7 @@ fn fixture(seed: u64) -> (Client, FileSet, ClientMetrics) {
         },
         &mut build,
     );
-    let c = Client::new(ClientId(0), ClientConfig::default(), &files, &root);
+    let c = Client::new(ClientId(0), ClientConfig::default(), &root);
     let m = ClientMetrics::new(SimDuration::from_secs(1));
     (c, files, m)
 }
@@ -44,7 +44,7 @@ proptest! {
     ) {
         let (mut c, files, mut m) = fixture(seed);
         let mut now = SimTime::ZERO;
-        let mut pending: Option<ClientAction> = Some(c.on_start(now));
+        let mut pending: Option<ClientAction> = Some(c.on_start(now, &files));
         let mut connected = false;
 
         for &mv in &moves {
@@ -133,7 +133,7 @@ proptest! {
     fn reply_accounting_matches(seed in 0u64..10_000, bursts in 1usize..20) {
         let (mut c, files, mut m) = fixture(seed);
         let mut now = SimTime::from_secs(1);
-        c.on_start(now);
+        c.on_start(now, &files);
         let mut action = c.on_connected(now, &mut m);
         let mut replies = 0u64;
         for _ in 0..bursts {

@@ -11,14 +11,9 @@
 //! randomness only from `Ctx::rng`, and (c) the model never consulting wall
 //! time.
 
-use crate::queue::{BinaryHeapQueue, EventQueue, Scheduled};
+use crate::queue::{BinaryHeapQueue, EventId, EventQueue, Scheduled};
 use crate::rng::Rng;
 use crate::time::{SimDuration, SimTime};
-use std::collections::HashSet;
-
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId(u64);
 
 /// A simulation model: owns all domain state and reacts to events.
 pub trait Model {
@@ -39,7 +34,8 @@ pub struct EngineStats {
     pub scheduled: u64,
     /// Events cancelled before dispatch.
     pub cancelled: u64,
-    /// High-water mark of the pending-event set.
+    /// High-water mark of the pending-event set. Cancelled events leave
+    /// the set at once, so this counts only events still due.
     pub peak_pending: usize,
 }
 
@@ -49,7 +45,6 @@ pub struct Ctx<'a, E> {
     now: SimTime,
     seq: &'a mut u64,
     queue: &'a mut dyn EventQueue<E>,
-    cancelled: &'a mut HashSet<u64>,
     rng: &'a mut Rng,
     stats: &'a mut EngineStats,
     stop: &'a mut bool,
@@ -80,15 +75,14 @@ impl<'a, E> Ctx<'a, E> {
             self.now
         );
         *self.seq += 1;
-        let seq = *self.seq;
-        self.queue.push(Scheduled {
+        let id = self.queue.push(Scheduled {
             time: at,
-            seq,
+            seq: *self.seq,
             event,
         });
         self.stats.scheduled += 1;
         self.stats.peak_pending = self.stats.peak_pending.max(self.queue.len());
-        EventId(seq)
+        id
     }
 
     /// Schedule `event` after a relative delay, saturating at the end of
@@ -107,18 +101,16 @@ impl<'a, E> Ctx<'a, E> {
         self.schedule_at(self.now, event)
     }
 
-    /// Cancel a scheduled event. Returns true if the id was still pending.
-    /// Cancelling an already-dispatched or already-cancelled id is a no-op
-    /// returning false.
+    /// Cancel a scheduled event: it leaves the pending set now, in
+    /// O(log n). Returns true if the id was still pending. Cancelling an
+    /// already-dispatched or already-cancelled id is a no-op returning
+    /// false.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 > *self.seq {
-            return false;
-        }
-        let fresh = self.cancelled.insert(id.0);
-        if fresh {
+        let pending = self.queue.remove(id).is_some();
+        if pending {
             self.stats.cancelled += 1;
         }
-        fresh
+        pending
     }
 
     /// Ask the engine to stop after the current event completes.
@@ -147,7 +139,6 @@ pub struct Engine<M: Model, Q: EventQueue<<M as Model>::Event> = BinaryHeapQueue
     now: SimTime,
     seq: u64,
     queue: Q,
-    cancelled: HashSet<u64>,
     rng: Rng,
     stats: EngineStats,
     model: M,
@@ -171,7 +162,6 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
             now: SimTime::ZERO,
             seq: 0,
             queue,
-            cancelled: HashSet::new(),
             rng: Rng::new(seed),
             stats: EngineStats::default(),
             model,
@@ -214,7 +204,7 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
         self.model
     }
 
-    /// Number of pending (non-cancelled upper bound) events.
+    /// Number of pending events: exactly those still to be dispatched.
     #[inline]
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -224,14 +214,14 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) -> EventId {
         assert!(at >= self.now, "schedule_at in the past");
         self.seq += 1;
-        self.queue.push(Scheduled {
+        let id = self.queue.push(Scheduled {
             time: at,
             seq: self.seq,
             event,
         });
         self.stats.scheduled += 1;
         self.stats.peak_pending = self.stats.peak_pending.max(self.queue.len());
-        EventId(self.seq)
+        id
     }
 
     /// Schedule an event after a delay from the current instant.
@@ -239,8 +229,7 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
         self.schedule_at(self.now.saturating_add(delay), event)
     }
 
-    /// Timestamp of the earliest pending event (cancelled events may make
-    /// this earlier than the next *delivered* event).
+    /// Timestamp of the earliest pending event: the next one delivered.
     pub fn peek_next_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -254,28 +243,22 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
     /// Dispatch exactly one event if one is pending. Returns false if the
     /// queue is drained.
     pub fn step(&mut self) -> bool {
-        loop {
-            let Some(entry) = self.queue.pop() else {
-                return false;
-            };
-            if self.cancelled.remove(&entry.seq) {
-                continue; // tombstoned
-            }
-            debug_assert!(entry.time >= self.now, "time ran backwards");
-            self.now = entry.time;
-            self.stats.dispatched += 1;
-            let mut ctx = Ctx {
-                now: self.now,
-                seq: &mut self.seq,
-                queue: &mut self.queue,
-                cancelled: &mut self.cancelled,
-                rng: &mut self.rng,
-                stats: &mut self.stats,
-                stop: &mut self.stop,
-            };
-            self.model.handle(&mut ctx, entry.event);
-            return true;
-        }
+        let Some(entry) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(entry.time >= self.now, "time ran backwards");
+        self.now = entry.time;
+        self.stats.dispatched += 1;
+        let mut ctx = Ctx {
+            now: self.now,
+            seq: &mut self.seq,
+            queue: &mut self.queue,
+            rng: &mut self.rng,
+            stats: &mut self.stats,
+            stop: &mut self.stop,
+        };
+        self.model.handle(&mut ctx, entry.event);
+        true
     }
 
     /// Run until the queue drains, the model stops the run, or the event
@@ -307,9 +290,8 @@ impl<M: Model, Q: EventQueue<M::Event>> Engine<M, Q> {
                     return RunOutcome::HorizonReached;
                 }
                 Some(_) => {
-                    if self.step() {
-                        dispatched_this_run += 1;
-                    }
+                    self.step();
+                    dispatched_this_run += 1;
                 }
             }
         }
@@ -460,6 +442,74 @@ mod tests {
         eng.run();
         assert_eq!(eng.model().seen, vec!["bystander"]);
         assert_eq!(eng.stats().cancelled, 1);
+    }
+
+    #[test]
+    fn cancel_after_dispatch_is_a_noop() {
+        struct Late {
+            first: Option<EventId>,
+            cancels: Vec<bool>,
+            seen: Vec<u32>,
+        }
+        impl Model for Late {
+            type Event = u32;
+            fn handle(&mut self, ctx: &mut Ctx<'_, u32>, ev: u32) {
+                self.seen.push(ev);
+                if ev == 0 {
+                    self.first = Some(ctx.schedule_in(SimDuration::from_secs(1), 1));
+                } else if ev == 1 {
+                    let first = self.first.expect("scheduled by event 0");
+                    // Event 1 is the one being handled: already dispatched.
+                    self.cancels.push(ctx.cancel(first));
+                    // Event 2 takes the slot event 1 vacated; the old handle
+                    // is stale and must not reach it.
+                    ctx.schedule_in(SimDuration::from_secs(1), 2);
+                    self.cancels.push(ctx.cancel(first));
+                }
+            }
+        }
+        let mut eng = Engine::new(
+            Late {
+                first: None,
+                cancels: vec![],
+                seen: vec![],
+            },
+            0,
+        );
+        eng.schedule_at(SimTime::ZERO, 0);
+        assert_eq!(eng.run(), RunOutcome::Drained);
+        assert_eq!(eng.model().cancels, vec![false, false]);
+        assert_eq!(eng.model().seen, vec![0, 1, 2]);
+        assert_eq!(eng.stats().cancelled, 0);
+        assert_eq!(eng.stats().dispatched, 3);
+    }
+
+    #[test]
+    fn pending_and_peek_are_exact_after_cancel() {
+        struct Canceller;
+        impl Model for Canceller {
+            type Event = u32;
+            fn handle(&mut self, ctx: &mut Ctx<'_, u32>, ev: u32) {
+                if ev == 0 {
+                    let victim = ctx.schedule_in(SimDuration::from_secs(1), 1);
+                    ctx.schedule_in(SimDuration::from_secs(3), 2);
+                    assert!(ctx.cancel(victim));
+                }
+            }
+        }
+        let mut eng = Engine::new(Canceller, 0);
+        eng.schedule_at(SimTime::ZERO, 0);
+        assert!(eng.step());
+        assert_eq!(eng.pending(), 1);
+        assert_eq!(eng.peek_next_time(), Some(SimTime::from_secs(3)));
+        assert_eq!(eng.stats().peak_pending, 2);
+        // A horizon between the cancelled and the live event delivers
+        // nothing: the cancelled entry is gone, not skipped.
+        assert_eq!(
+            eng.run_until(SimTime::from_secs(2)),
+            RunOutcome::HorizonReached
+        );
+        assert_eq!(eng.stats().dispatched, 1);
     }
 
     #[test]

@@ -6,11 +6,15 @@
 //! * a virtual clock with nanosecond resolution ([`SimTime`], [`SimDuration`]);
 //! * a deterministic, splittable PRNG ([`Rng`]) so runs are bit-reproducible
 //!   from a single seed;
-//! * a pending-event set: the [`EventQueue`] trait and its binary-heap
-//!   implementation, [`BinaryHeapQueue`];
-//! * the engine itself ([`Engine`], [`Model`], [`Ctx`]) with cancellation,
-//!   horizons, stop requests, and an event budget backstop;
-//! * a bounded debugging trace ([`Trace`]).
+//! * a pending-event set: the [`EventQueue`] trait and its indexed
+//!   binary-heap implementation, [`BinaryHeapQueue`], which removes a
+//!   cancelled event in O(log n) instead of leaving a tombstone;
+//! * the engine itself ([`Engine`], [`Model`], [`Ctx`]) with cancellation
+//!   by [`EventId`] handle, horizons, stop requests, and an event budget
+//!   backstop;
+//! * a bounded debugging trace ([`Trace`]);
+//! * [`IntMap`]/[`IntSet`], the hash containers the models key on their
+//!   own integer ids.
 //!
 //! # Example
 //!
@@ -36,13 +40,15 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Ctx, Engine, EngineStats, EventId, Model, RunOutcome};
-pub use queue::{BinaryHeapQueue, EventQueue, Scheduled};
+pub use engine::{Ctx, Engine, EngineStats, Model, RunOutcome};
+pub use hash::{IntHasher, IntMap, IntSet};
+pub use queue::{BinaryHeapQueue, EventId, EventQueue, Scheduled};
 pub use rng::{Rng, SplitMix64, Xoshiro256StarStar};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Trace, TraceLevel, TraceRecord};

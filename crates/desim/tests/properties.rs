@@ -2,10 +2,10 @@
 //! sorted model, causality, and RNG stream independence.
 
 use desim::{
-    BinaryHeapQueue, Ctx, Engine, EventQueue, Model, Rng, Scheduled, SimDuration, SimTime,
+    BinaryHeapQueue, Ctx, Engine, EventId, EventQueue, Model, Rng, Scheduled, SimDuration, SimTime,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A model that records (time, payload) for every dispatched event and
 /// schedules nothing new — used to observe raw dispatch order.
@@ -22,34 +22,65 @@ impl Model for Observer {
 
 proptest! {
     /// The heap pops exactly what a sorted `(time, seq)` model pops, under
-    /// any interleaving of pushes (heavy timestamp ties included) and pops,
-    /// and `peek_time`/`len` agree with the model throughout.
+    /// any interleaving of pushes (heavy timestamp ties included), pops and
+    /// removals by handle, and `peek_time`/`len` agree with the model after
+    /// every operation. Handles of popped or removed entries are stale:
+    /// removing one takes nothing, including after a later push reused its
+    /// slot (vacated slots are reused last-in first-out, so the next push
+    /// after a pop or removal always does).
     #[test]
-    fn queues_agree(ops in proptest::collection::vec((0u64..100, 0u8..4), 0..300)) {
+    fn queues_agree(ops in proptest::collection::vec((0u64..100, 0u8..6), 0..300)) {
         let mut heap: BinaryHeapQueue<u64> = BinaryHeapQueue::new();
         let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
-        let pop_both = |heap: &mut BinaryHeapQueue<u64>, model: &mut BTreeSet<(u64, u64)>| {
-            let got = heap.pop().map(|s| {
-                assert_eq!(s.event, s.seq, "payload travels with its entry");
-                (s.time.as_nanos(), s.seq)
-            });
-            assert_eq!(got, model.pop_first());
-        };
+        // seq -> (handle, time) of every pending entry.
+        let mut live: BTreeMap<u64, (EventId, u64)> = BTreeMap::new();
+        let mut stale: Vec<EventId> = Vec::new();
         for (seq, &(t, op)) in ops.iter().enumerate() {
-            // One op in four pops; pushes land on 100 distinct times, so
-            // equal timestamps are common and FIFO order is exercised.
-            if op == 0 {
-                pop_both(&mut heap, &mut model);
-            } else {
-                let seq = seq as u64;
-                heap.push(Scheduled { time: SimTime::from_nanos(t), seq, event: seq });
-                model.insert((t, seq));
+            match op {
+                // Pop the earliest entry.
+                0 => {
+                    let got = heap.pop().map(|s| {
+                        assert_eq!(s.event, s.seq, "payload travels with its entry");
+                        (s.time.as_nanos(), s.seq)
+                    });
+                    prop_assert_eq!(got, model.pop_first());
+                    if let Some((_, seq)) = got {
+                        stale.push(live.remove(&seq).expect("popped entry was live").0);
+                    }
+                }
+                // Remove a live entry picked by `t`.
+                1 if !live.is_empty() => {
+                    let (&seq, &(id, time)) =
+                        live.iter().nth(t as usize % live.len()).expect("in range");
+                    let gone = heap.remove(id).expect("a live handle removes its entry");
+                    prop_assert_eq!((gone.time.as_nanos(), gone.seq, gone.event), (time, seq, seq));
+                    prop_assert!(model.remove(&(time, seq)));
+                    live.remove(&seq);
+                    stale.push(id);
+                }
+                // Remove through a stale handle picked by `t`: a no-op.
+                2 if !stale.is_empty() => {
+                    let id = stale[t as usize % stale.len()];
+                    prop_assert!(heap.remove(id).is_none(), "stale handle removed an entry");
+                }
+                // Push; one op in two on average.
+                _ => {
+                    let seq = seq as u64;
+                    let id = heap.push(Scheduled { time: SimTime::from_nanos(t), seq, event: seq });
+                    model.insert((t, seq));
+                    live.insert(seq, (id, t));
+                }
             }
             prop_assert_eq!(heap.len(), model.len());
             prop_assert_eq!(heap.peek_time(), model.first().map(|&(t, _)| SimTime::from_nanos(t)));
         }
-        while !model.is_empty() {
-            pop_both(&mut heap, &mut model);
+        // Every stale handle still misses after the churn above.
+        for &id in &stale {
+            prop_assert!(heap.remove(id).is_none());
+        }
+        while let Some((t, seq)) = model.pop_first() {
+            let s = heap.pop().expect("model and heap hold the same entries");
+            prop_assert_eq!((s.time.as_nanos(), s.seq), (t, seq));
         }
         prop_assert!(heap.pop().is_none());
     }

@@ -21,18 +21,31 @@ use std::collections::VecDeque;
 pub struct LaneId(pub usize);
 
 /// Token identifying a running job; returned to the caller when the job is
-/// started so the completion event can carry it back.
+/// started so the completion event can carry it back. It names a slot of
+/// the CPU's running-job slab plus the slot's generation, so a token whose
+/// job already completed is rejected even after its slot is reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobToken(pub u64);
 
-/// A job the CPU agreed to start: schedule its completion at `finish_at`
-/// and call [`Cpu::complete`] with the token when it fires.
-#[derive(Debug)]
-pub struct StartedJob<P> {
-    pub token: JobToken,
-    pub finish_at: SimTime,
-    pub payload_preview: std::marker::PhantomData<P>,
+impl JobToken {
+    fn new(slot: usize, generation: u32) -> JobToken {
+        let slot = u32::try_from(slot).expect("fewer than 2^32 running jobs");
+        JobToken(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & 0xFFFF_FFFF) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
 }
+
+/// A job that started: schedule its completion at `finish` (after
+/// `service` of execution) and call [`Cpu::complete`] with the token when
+/// it fires.
+pub type Started = (JobToken, SimTime, SimDuration);
 
 #[derive(Debug)]
 struct QueuedJob<P> {
@@ -47,6 +60,13 @@ struct RunningJob<P> {
     lane: usize,
     queued_for: SimDuration,
     service: SimDuration,
+}
+
+/// A slot of the running-job slab.
+#[derive(Debug)]
+struct RunSlot<P> {
+    generation: u32,
+    job: Option<RunningJob<P>>,
 }
 
 /// A finished job with its timing, returned by [`Cpu::complete_info`]. The
@@ -86,8 +106,11 @@ pub struct CpuStats {
 pub struct Cpu<P> {
     num_cpus: usize,
     lanes: Vec<Lane<P>>,
-    running: std::collections::HashMap<u64, RunningJob<P>>,
-    next_token: u64,
+    /// Running jobs, indexed by [`JobToken`] slot.
+    running: Vec<RunSlot<P>>,
+    /// Vacant slots of `running`.
+    vacant: Vec<usize>,
+    running_total: usize,
     rr_cursor: usize,
     stats: CpuStats,
 }
@@ -99,8 +122,9 @@ impl<P> Cpu<P> {
         Cpu {
             num_cpus,
             lanes: Vec::new(),
-            running: std::collections::HashMap::new(),
-            next_token: 0,
+            running: Vec::new(),
+            vacant: Vec::new(),
+            running_total: 0,
             rr_cursor: 0,
             stats: CpuStats::default(),
         }
@@ -117,10 +141,20 @@ impl<P> Cpu<P> {
         LaneId(self.lanes.len() - 1)
     }
 
-    /// Change a lane's cap (e.g. reconfiguring worker threads between runs).
-    pub fn set_lane_cap(&mut self, lane: LaneId, cap: usize) {
+    /// Change a lane's cap at `now` (crashed workers lost or restarted).
+    /// A raised cap frees lane slots without any job completing, so this
+    /// yields every queued job the new cap lets start, in start order; the
+    /// caller schedules their completions. A lowered cap starts nothing
+    /// and stops no running job (the model is non-preemptive).
+    pub fn set_lane_cap(
+        &mut self,
+        now: SimTime,
+        lane: LaneId,
+        cap: usize,
+    ) -> impl Iterator<Item = Started> + '_ {
         assert!(cap > 0);
         self.lanes[lane.0].cap = cap;
+        std::iter::from_fn(move || self.try_start(now))
     }
 
     /// Number of processors.
@@ -130,7 +164,7 @@ impl<P> Cpu<P> {
 
     /// Jobs currently executing across all lanes.
     pub fn running_total(&self) -> usize {
-        self.running.len()
+        self.running_total
     }
 
     /// Jobs queued (not yet started) across all lanes.
@@ -143,39 +177,28 @@ impl<P> Cpu<P> {
         self.stats
     }
 
-    /// Start whatever queued work is now eligible — call after raising a
-    /// lane cap (e.g. crashed workers restarting), which frees slots
-    /// without any job completing. Returns started jobs like [`Cpu::submit`].
-    pub fn kick(&mut self, now: SimTime) -> Vec<(JobToken, SimTime, SimDuration)> {
-        self.try_start(now)
-    }
-
-    /// Submit a job to a lane. Returns the jobs that *started* as a result
-    /// (the submitted one, if a processor and lane slot were free; empty
-    /// otherwise). The caller schedules a completion event per started job.
+    /// Submit a job to a lane. Returns the job that *started* as a result:
+    /// the submitted one, if a processor and lane slot were free. The
+    /// caller schedules its completion event.
     pub fn submit(
         &mut self,
         now: SimTime,
         lane: LaneId,
         service: SimDuration,
         payload: P,
-    ) -> Vec<(JobToken, SimTime, SimDuration)> {
+    ) -> Option<Started> {
         self.lanes[lane.0].queue.push_back(QueuedJob {
             service,
             payload,
             enqueued_at: now,
         });
         self.stats.peak_queue = self.stats.peak_queue.max(self.queued_total());
-        self.try_start(now)
+        self.start_one(now)
     }
 
-    /// A running job finished: free its slot, return the payload plus any
-    /// jobs that could now start.
-    pub fn complete(
-        &mut self,
-        now: SimTime,
-        token: JobToken,
-    ) -> (P, Vec<(JobToken, SimTime, SimDuration)>) {
+    /// A running job finished: free its slot, return the payload plus the
+    /// job that could start in its place.
+    pub fn complete(&mut self, now: SimTime, token: JobToken) -> (P, Option<Started>) {
         let (done, started) = self.complete_info(now, token);
         (done.payload, started)
     }
@@ -186,15 +209,21 @@ impl<P> Cpu<P> {
         &mut self,
         now: SimTime,
         token: JobToken,
-    ) -> (CompletedJob<P>, Vec<(JobToken, SimTime, SimDuration)>) {
+    ) -> (CompletedJob<P>, Option<Started>) {
         let job = self
             .running
-            .remove(&token.0)
+            .get_mut(token.slot())
+            .filter(|s| s.generation == token.generation())
+            .and_then(|s| s.job.take())
             .expect("completing unknown job token");
+        let slot = &mut self.running[token.slot()];
+        slot.generation = slot.generation.wrapping_add(1);
+        self.vacant.push(token.slot());
+        self.running_total -= 1;
         self.lanes[job.lane].running -= 1;
         self.stats.jobs_completed += 1;
         self.stats.queued_nanos += job.queued_for.as_nanos();
-        let started = self.try_start(now);
+        let started = self.start_one(now);
         (
             CompletedJob {
                 payload: job.payload,
@@ -205,49 +234,66 @@ impl<P> Cpu<P> {
         )
     }
 
-    /// Start every queued job that can run. Round-robin across lanes so one
-    /// saturated lane cannot starve the others.
-    fn try_start(&mut self, now: SimTime) -> Vec<(JobToken, SimTime, SimDuration)> {
-        let mut started = Vec::new();
-        let nlanes = self.lanes.len();
-        if nlanes == 0 {
-            return started;
-        }
-        loop {
-            if self.running.len() >= self.num_cpus {
-                break;
-            }
-            // Find the next lane (round-robin from the cursor) that has both
-            // queued work and lane headroom.
-            let mut picked = None;
-            for step in 0..nlanes {
-                let idx = (self.rr_cursor + step) % nlanes;
-                let lane = &self.lanes[idx];
-                if lane.running < lane.cap && !lane.queue.is_empty() {
-                    picked = Some(idx);
-                    break;
-                }
-            }
-            let Some(idx) = picked else { break };
-            self.rr_cursor = (idx + 1) % nlanes;
-            let job = self.lanes[idx].queue.pop_front().unwrap();
-            self.lanes[idx].running += 1;
-            self.next_token += 1;
-            let token = JobToken(self.next_token);
-            let finish = now + job.service;
-            self.stats.busy_nanos += job.service.as_nanos();
-            self.running.insert(
-                token.0,
-                RunningJob {
-                    payload: job.payload,
-                    lane: idx,
-                    queued_for: now.saturating_since(job.enqueued_at),
-                    service: job.service,
-                },
-            );
-            started.push((token, finish, job.service));
-        }
+    /// Start the job a submit or a completion made eligible. One event
+    /// frees at most one processor or lane slot, so at most one job can
+    /// start; only a raised lane cap frees more, and
+    /// [`Cpu::set_lane_cap`] starts those itself.
+    fn start_one(&mut self, now: SimTime) -> Option<Started> {
+        let started = self.try_start(now);
+        debug_assert!(
+            started.is_none() || self.pick_lane().is_none(),
+            "a second job was eligible"
+        );
         started
+    }
+
+    /// The next lane, round-robin from the cursor, with both queued work
+    /// and headroom — if a processor is free.
+    fn pick_lane(&self) -> Option<usize> {
+        if self.running_total >= self.num_cpus {
+            return None;
+        }
+        let nlanes = self.lanes.len();
+        (0..nlanes)
+            .map(|step| (self.rr_cursor + step) % nlanes)
+            .find(|&idx| {
+                let lane = &self.lanes[idx];
+                lane.running < lane.cap && !lane.queue.is_empty()
+            })
+    }
+
+    /// Start the next queued job that can run. Round-robin across lanes so
+    /// one saturated lane cannot starve the others.
+    fn try_start(&mut self, now: SimTime) -> Option<Started> {
+        let idx = self.pick_lane()?;
+        self.rr_cursor = (idx + 1) % self.lanes.len();
+        let job = self.lanes[idx]
+            .queue
+            .pop_front()
+            .expect("picked lane has work");
+        self.lanes[idx].running += 1;
+        self.running_total += 1;
+        let finish = now + job.service;
+        self.stats.busy_nanos += job.service.as_nanos();
+        let running = RunningJob {
+            payload: job.payload,
+            lane: idx,
+            queued_for: now.saturating_since(job.enqueued_at),
+            service: job.service,
+        };
+        let slot = match self.vacant.pop() {
+            Some(slot) => slot,
+            None => {
+                self.running.push(RunSlot {
+                    generation: 0,
+                    job: None,
+                });
+                self.running.len() - 1
+            }
+        };
+        let entry = &mut self.running[slot];
+        entry.job = Some(running);
+        Some((JobToken::new(slot, entry.generation), finish, job.service))
     }
 
     /// Drop all queued (not yet running) jobs in a lane, returning their
@@ -276,15 +322,13 @@ mod tests {
     fn single_cpu_serialises_jobs() {
         let mut cpu: Cpu<&str> = Cpu::new(1);
         let lane = cpu.add_lane(10);
-        let s1 = cpu.submit(at(0), lane, ms(5), "a");
-        assert_eq!(s1.len(), 1);
-        assert_eq!(s1[0].1, at(5));
+        let s1 = cpu.submit(at(0), lane, ms(5), "a").expect("starts");
+        assert_eq!(s1.1, at(5));
         let s2 = cpu.submit(at(1), lane, ms(5), "b");
-        assert!(s2.is_empty(), "second job must queue on 1 CPU");
-        let (p, s3) = cpu.complete(at(5), s1[0].0);
+        assert!(s2.is_none(), "second job must queue on 1 CPU");
+        let (p, s3) = cpu.complete(at(5), s1.0);
         assert_eq!(p, "a");
-        assert_eq!(s3.len(), 1);
-        assert_eq!(s3[0].1, at(10));
+        assert_eq!(s3.expect("b starts").1, at(10));
     }
 
     #[test]
@@ -305,13 +349,13 @@ mod tests {
         let mut cpu: Cpu<u32> = Cpu::new(4);
         let worker = cpu.add_lane(1);
         let started = cpu.submit(at(0), worker, ms(10), 0);
-        assert_eq!(started.len(), 1);
+        assert!(started.is_some());
         let blocked = cpu.submit(at(0), worker, ms(10), 1);
-        assert!(blocked.is_empty(), "worker lane cap is 1");
+        assert!(blocked.is_none(), "worker lane cap is 1");
         // A different lane can still use the idle processors.
         let accept = cpu.add_lane(1);
         let s = cpu.submit(at(0), accept, ms(1), 99);
-        assert_eq!(s.len(), 1);
+        assert!(s.is_some());
     }
 
     #[test]
@@ -320,16 +364,15 @@ mod tests {
         let mut cpu: Cpu<u32> = Cpu::new(1);
         let busy = cpu.add_lane(10);
         let meek = cpu.add_lane(10);
-        let first = cpu.submit(at(0), busy, ms(1), 0);
+        let first = cpu.submit(at(0), busy, ms(1), 0).expect("starts");
         for i in 1..=5 {
-            assert!(cpu.submit(at(0), busy, ms(1), i).is_empty());
+            assert!(cpu.submit(at(0), busy, ms(1), i).is_none());
         }
-        assert!(cpu.submit(at(0), meek, ms(1), MEEK).is_empty());
+        assert!(cpu.submit(at(0), meek, ms(1), MEEK).is_none());
         // Completing the running job must start the meek lane's job next
         // (round-robin), not another busy job.
-        let (_, s) = cpu.complete(at(1), first[0].0);
-        assert_eq!(s.len(), 1);
-        let (p, _) = cpu.complete(at(2), s[0].0);
+        let (_, s) = cpu.complete(at(1), first.0);
+        let (p, _) = cpu.complete(at(2), s.expect("one job starts").0);
         assert_eq!(p, MEEK);
     }
 
@@ -337,10 +380,10 @@ mod tests {
     fn stats_track_busy_and_queueing() {
         let mut cpu: Cpu<u32> = Cpu::new(1);
         let lane = cpu.add_lane(10);
-        let s1 = cpu.submit(at(0), lane, ms(10), 0);
+        let s1 = cpu.submit(at(0), lane, ms(10), 0).expect("starts");
         cpu.submit(at(0), lane, ms(10), 1);
-        let (_, s2) = cpu.complete(at(10), s1[0].0);
-        cpu.complete(at(20), s2[0].0);
+        let (_, s2) = cpu.complete(at(10), s1.0);
+        cpu.complete(at(20), s2.expect("job 1 starts").0);
         let st = cpu.stats();
         assert_eq!(st.jobs_completed, 2);
         assert_eq!(st.busy_nanos, ms(20).as_nanos());
@@ -355,12 +398,12 @@ mod tests {
     fn complete_info_reports_service_and_queueing() {
         let mut cpu: Cpu<u32> = Cpu::new(1);
         let lane = cpu.add_lane(10);
-        let s1 = cpu.submit(at(0), lane, ms(10), 0);
+        let s1 = cpu.submit(at(0), lane, ms(10), 0).expect("starts");
         cpu.submit(at(2), lane, ms(7), 1);
-        let (done1, s2) = cpu.complete_info(at(10), s1[0].0);
+        let (done1, s2) = cpu.complete_info(at(10), s1.0);
         assert_eq!(done1.service, ms(10));
         assert_eq!(done1.queued_for, SimDuration::ZERO);
-        let (done2, _) = cpu.complete_info(at(17), s2[0].0);
+        let (done2, _) = cpu.complete_info(at(17), s2.expect("job 1 starts").0);
         assert_eq!(done2.payload, 1);
         assert_eq!(done2.service, ms(7));
         assert_eq!(done2.queued_for, ms(8), "queued from t=2 to t=10");
@@ -371,6 +414,18 @@ mod tests {
     fn completing_unknown_token_panics() {
         let mut cpu: Cpu<u32> = Cpu::new(1);
         cpu.complete(at(0), JobToken(99));
+    }
+
+    #[test]
+    #[should_panic(expected = "unknown job token")]
+    fn completed_token_is_stale_after_its_slot_is_reused() {
+        let mut cpu: Cpu<u32> = Cpu::new(1);
+        let lane = cpu.add_lane(1);
+        let first = cpu.submit(at(0), lane, ms(1), 0).expect("starts");
+        cpu.submit(at(0), lane, ms(1), 1);
+        let (_, second) = cpu.complete(at(1), first.0);
+        assert_eq!(second.expect("job 1 starts").0.slot(), first.0.slot());
+        cpu.complete(at(2), first.0);
     }
 
     #[test]
@@ -385,14 +440,20 @@ mod tests {
     }
 
     #[test]
-    fn set_lane_cap_unblocks_jobs_on_next_completion() {
+    fn raised_lane_cap_starts_waiters_at_once() {
         let mut cpu: Cpu<u32> = Cpu::new(4);
         let lane = cpu.add_lane(1);
-        let s = cpu.submit(at(0), lane, ms(10), 0);
+        cpu.submit(at(0), lane, ms(10), 0);
         cpu.submit(at(0), lane, ms(10), 1);
         cpu.submit(at(0), lane, ms(10), 2);
-        cpu.set_lane_cap(lane, 3);
-        let (_, started) = cpu.complete(at(10), s[0].0);
+        let started: Vec<_> = cpu.set_lane_cap(at(4), lane, 3).collect();
         assert_eq!(started.len(), 2, "raised cap admits both waiters");
+        assert!(started.iter().all(|&(_, finish, _)| finish == at(14)));
+        assert_eq!(cpu.running_total(), 3);
+        assert_eq!(
+            cpu.set_lane_cap(at(5), lane, 1).count(),
+            0,
+            "lowering starts nothing"
+        );
     }
 }

@@ -10,4 +10,4 @@ pub mod costs;
 pub mod cpu;
 
 pub use costs::{CpuCosts, SplitService};
-pub use cpu::{CompletedJob, Cpu, CpuStats, JobToken, LaneId, StartedJob};
+pub use cpu::{CompletedJob, Cpu, CpuStats, JobToken, LaneId, Started};

@@ -28,7 +28,7 @@ fn drive(num_cpus: usize, lane_caps: &[usize], jobs: &[(usize, u64)]) -> (u64, u
         submitted_work += service.as_nanos();
         let started = cpu.submit(now, lane, service, i as u64);
         check(&cpu);
-        for (tok, finish, _) in started {
+        if let Some((tok, finish, _)) = started {
             due.insert((finish.as_nanos(), tok.0), tok);
         }
         // Every other submission, advance time and retire one due job.
@@ -40,7 +40,7 @@ fn drive(num_cpus: usize, lane_caps: &[usize], jobs: &[(usize, u64)]) -> (u64, u
                 let (_payload, started) = cpu.complete(now, tok);
                 completed += 1;
                 check(&cpu);
-                for (t2, f2, _) in started {
+                if let Some((t2, f2, _)) = started {
                     due.insert((f2.as_nanos(), t2.0), t2);
                 }
             }
@@ -53,7 +53,7 @@ fn drive(num_cpus: usize, lane_caps: &[usize], jobs: &[(usize, u64)]) -> (u64, u
         let (_p, started) = cpu.complete(now, tok);
         completed += 1;
         check(&cpu);
-        for (t2, f2, _) in started {
+        if let Some((t2, f2, _)) = started {
             due.insert((f2.as_nanos(), t2.0), t2);
         }
     }
@@ -86,7 +86,7 @@ proptest! {
         let mut due: Vec<(SimTime, JobToken)> = Vec::new();
         let mut now = SimTime::ZERO;
         for (i, &us) in services.iter().enumerate() {
-            for (tok, fin, _) in cpu.submit(now, lane, SimDuration::from_micros(us), i as u64) {
+            if let Some((tok, fin, _)) = cpu.submit(now, lane, SimDuration::from_micros(us), i as u64) {
                 due.push((fin, tok));
             }
         }
@@ -95,7 +95,7 @@ proptest! {
             now = fin.max(now);
             last = now;
             let (_, started) = cpu.complete(now, tok);
-            for (t, f, _) in started {
+            if let Some((t, f, _)) = started {
                 due.push((f, t));
             }
         }

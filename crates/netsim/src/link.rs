@@ -16,7 +16,7 @@
 //! Completion order is therefore the order of finish tags, giving O(log n)
 //! joins/leaves instead of rescheduling every flow on every change.
 
-use desim::{SimDuration, SimTime};
+use desim::{IntMap, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
 /// Identifier for a flow on a link (assigned by the caller).
@@ -78,7 +78,7 @@ pub struct PsLink {
     /// total byte count (for delivery accounting).
     by_finish: BTreeMap<FinishKey, f64>,
     /// Reverse index: flow → its finish key (for cancellation).
-    finish_of: std::collections::HashMap<FlowId, FinishKey>,
+    finish_of: IntMap<FlowId, FinishKey>,
     /// Total bytes delivered by completed flows (accounting).
     pub bytes_delivered: f64,
 }
@@ -91,7 +91,7 @@ impl PsLink {
             v_now: 0.0,
             last_update: SimTime::ZERO,
             by_finish: BTreeMap::new(),
-            finish_of: std::collections::HashMap::new(),
+            finish_of: IntMap::default(),
             bytes_delivered: 0.0,
         }
     }

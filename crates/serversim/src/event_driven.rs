@@ -15,9 +15,9 @@
 //! queue is adopted by a survivor — exactly the live listener-fd takeover,
 //! so already-queued connections survive a worker death.
 
+use desim::{IntMap, IntSet};
 use faults::AcceptMode;
 use netsim::ConnId;
-use std::collections::{HashMap, HashSet};
 
 /// Outcome of a SYN arriving at the event-driven server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,9 +47,9 @@ pub struct EventServer {
     /// is adopted by a survivor).
     shard_alive: Vec<bool>,
     /// Sharded: which shard each in-flight accept is queued on.
-    assigned: HashMap<ConnId, usize>,
+    assigned: IntMap<ConnId, usize>,
     /// Connections registered with the selector.
-    registered: HashSet<ConnId>,
+    registered: IntSet<ConnId>,
     /// Peak registered connections (reporting; the paper's point is that
     /// this can be thousands with one worker thread).
     pub peak_registered: usize,
@@ -84,8 +84,8 @@ impl EventServer {
             shard_pending: vec![0; shards],
             shard_accepted: vec![0; shards],
             shard_alive: vec![true; shards],
-            assigned: HashMap::new(),
-            registered: HashSet::new(),
+            assigned: IntMap::default(),
+            registered: IntSet::default(),
             peak_registered: 0,
             syns_dropped: 0,
             syns_refused: 0,

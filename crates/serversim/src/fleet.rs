@@ -19,12 +19,14 @@
 use crate::balancer::{HealthConfig, HealthState, LoadBalancer, Strategy};
 use crate::conntable::ConnTable;
 use clientsim::{Client, ClientAction, ClientConfig, ClientId, ClientMetrics};
-use desim::{Ctx, Engine, EventId, Model, Rng, RunOutcome, SimDuration, SimTime};
+use desim::{
+    Ctx, Engine, EngineStats, EventId, IntMap, Model, Rng, RunOutcome, SimDuration, SimTime,
+};
 use faults::{DrainReport, FaultKind, FleetFaultPlan, RetryBudget};
 use hostsim::{Cpu, CpuCosts, JobToken, LaneId};
 use netsim::{CloseKind, ConnId, ConnState, Connection, FlowId, LinkConfig, PsLink};
 use obs::{GaugeKind, GaugeLog, Obs};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use workload::{FileId, FileSet, SurgeConfig};
 
 /// Rolling-restart schedule: each host in index order is drained, held down
@@ -363,7 +365,7 @@ pub struct FleetTestbed {
     rt: Vec<ClientRt>,
     pub metrics: ClientMetrics,
     conns: ConnTable<FConn>,
-    flows: HashMap<FlowId, FlowKind>,
+    flows: IntMap<FlowId, FlowKind>,
     next_flow: u64,
     frontend: PsLink,
     link_ev: Option<EventId>,
@@ -397,6 +399,8 @@ pub struct FleetTestbed {
     pub obs: Obs,
     /// Per-replica gauges, same sample schema as the aggregate log.
     pub host_gauges: Vec<GaugeLog>,
+    /// The engine's counters at the end of [`run_fleet`] (zero before).
+    pub engine_stats: EngineStats,
     measuring: bool,
 }
 
@@ -407,7 +411,7 @@ impl FleetTestbed {
         let client_root = Rng::new(cfg.seed ^ 0xC11E_17A5);
         let total = cfg.total_clients();
         let clients: Vec<Client> = (0..total)
-            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &files, &client_root))
+            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &client_root))
             .collect();
         let rt = (0..total).map(|_| ClientRt::default()).collect();
         let replicas: Vec<Replica> = (0..cfg.num_hosts)
@@ -439,7 +443,7 @@ impl FleetTestbed {
             rt,
             metrics,
             conns: ConnTable::new(),
-            flows: HashMap::new(),
+            flows: IntMap::default(),
             next_flow: 0,
             frontend,
             link_ev: None,
@@ -461,6 +465,7 @@ impl FleetTestbed {
             transitions: Vec::new(),
             obs,
             host_gauges,
+            engine_stats: EngineStats::default(),
             measuring: false,
         }
     }
@@ -559,7 +564,7 @@ impl FleetTestbed {
             }
         }
         let started = self.replicas[host].cpu.submit(ctx.now(), lane, service, job);
-        for (token, finish, _service) in started {
+        if let Some((token, finish, _service)) = started {
             ctx.schedule_at(finish, FEv::CpuDone { host, token });
         }
     }
@@ -1041,7 +1046,7 @@ impl FleetTestbed {
 
     fn on_cpu_done(&mut self, ctx: &mut Ctx<'_, FEv>, host: usize, token: JobToken) {
         let (done, started) = self.replicas[host].cpu.complete_info(ctx.now(), token);
-        for (t, finish, _service) in started {
+        if let Some((t, finish, _service)) = started {
             ctx.schedule_at(finish, FEv::CpuDone { host, token: t });
         }
         match done.payload {
@@ -1154,7 +1159,11 @@ impl FleetTestbed {
                     let crashed = ((workers as f64 * fraction).round() as usize).clamp(1, workers);
                     let cap = (workers - crashed).max(1);
                     let lane = self.replicas[h].worker_lane;
-                    self.replicas[h].cpu.set_lane_cap(lane, cap);
+                    for (token, finish, _service) in
+                        self.replicas[h].cpu.set_lane_cap(now, lane, cap)
+                    {
+                        ctx.schedule_at(finish, FEv::CpuDone { host: h, token });
+                    }
                 }
             }
             FaultKind::ServerStall => {
@@ -1229,12 +1238,11 @@ impl FleetTestbed {
                     self.replicas[h].down = false;
                 } else {
                     let lane = self.replicas[h].worker_lane;
-                    self.replicas[h]
-                        .cpu
-                        .set_lane_cap(lane, self.cfg.workers_per_host);
-                    let started = self.replicas[h].cpu.kick(now);
-                    for (t, finish, _service) in started {
-                        ctx.schedule_at(finish, FEv::CpuDone { host: h, token: t });
+                    let workers = self.cfg.workers_per_host;
+                    for (token, finish, _service) in
+                        self.replicas[h].cpu.set_lane_cap(now, lane, workers)
+                    {
+                        ctx.schedule_at(finish, FEv::CpuDone { host: h, token });
                     }
                 }
             }
@@ -1294,7 +1302,7 @@ impl Model for FleetTestbed {
     fn handle(&mut self, ctx: &mut Ctx<'_, FEv>, ev: FEv) {
         match ev {
             FEv::ClientArrive(cid) => {
-                let action = self.clients[cid.0 as usize].on_start(ctx.now());
+                let action = self.clients[cid.0 as usize].on_start(ctx.now(), &self.files);
                 self.run_client_action(ctx, cid, action);
             }
             FEv::ClientConnect(cid) => {
@@ -1539,7 +1547,10 @@ pub fn run_fleet(cfg: FleetConfig) -> FleetTestbed {
         matches!(outcome, RunOutcome::Stopped),
         "fleet run did not stop cleanly: {outcome:?}"
     );
-    engine.into_model()
+    let engine_stats = engine.stats();
+    let mut fleet = engine.into_model();
+    fleet.engine_stats = engine_stats;
+    fleet
 }
 
 #[cfg(test)]

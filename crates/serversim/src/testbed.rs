@@ -24,11 +24,14 @@ use crate::event_driven::{AcceptOutcome, EventServer};
 use crate::threaded::{SynOutcome, ThreadedServer};
 use clientsim::{Client, ClientAction, ClientId, ClientMetrics};
 use faults::AcceptMode;
-use desim::{Ctx, Engine, EventId, Model, Rng, RunOutcome, SimDuration, SimTime, Trace, TraceLevel};
+use desim::{
+    Ctx, Engine, EngineStats, EventId, IntMap, Model, Rng, RunOutcome, SimDuration, SimTime, Trace,
+    TraceLevel,
+};
 use hostsim::{Cpu, JobToken, LaneId};
 use netsim::{CloseKind, ConnId, Connection, FlowId, PsLink};
 use obs::{EndReason, GaugeKind, Obs, Span, Stage};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use workload::{FileId, FileSet};
 
 /// Events of the testbed model.
@@ -169,7 +172,7 @@ pub struct Testbed {
     rt: Vec<ClientRt>,
     pub metrics: ClientMetrics,
     conns: ConnTable<ConnRec>,
-    flows: HashMap<FlowId, FlowRec>,
+    flows: IntMap<FlowId, FlowRec>,
     next_flow: u64,
     links: Vec<PsLink>,
     link_ev: Vec<Option<EventId>>,
@@ -221,6 +224,9 @@ pub struct Testbed {
     /// High-water mark of simultaneously open connections over the run —
     /// the scale harness's "how many did the table actually hold" reading.
     peak_open_conns: usize,
+    /// The engine's counters at the end of [`run`] (zero before): events
+    /// scheduled, dispatched and cancelled, and the pending-set peak.
+    pub engine_stats: EngineStats,
 }
 
 impl Testbed {
@@ -233,7 +239,7 @@ impl Testbed {
         let files = FileSet::build(&cfg.surge, &mut build_rng);
         let client_root = Rng::new(cfg.seed ^ 0xC11E_17A5);
         let clients: Vec<Client> = (0..cfg.num_clients)
-            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &files, &client_root))
+            .map(|i| Client::new(ClientId(i), cfg.client.clone(), &client_root))
             .collect();
         let rt = (0..cfg.num_clients).map(|_| ClientRt::default()).collect();
         let links: Vec<PsLink> = cfg.links.iter().map(|&l| PsLink::new(l)).collect();
@@ -300,7 +306,7 @@ impl Testbed {
             rt,
             metrics,
             conns: ConnTable::new(),
-            flows: HashMap::new(),
+            flows: IntMap::default(),
             next_flow: 0,
             links,
             link_ev,
@@ -331,6 +337,7 @@ impl Testbed {
             busy_conns: 0,
             gauge_conn_visits: 0,
             peak_open_conns: 0,
+            engine_stats: EngineStats::default(),
         }
     }
 
@@ -472,8 +479,7 @@ impl Testbed {
                 self.refresh_busy(conn);
             }
         }
-        let started = self.cpu.submit(ctx.now(), lane, service, job);
-        for (token, finish, _service) in started {
+        if let Some((token, finish, _service)) = self.cpu.submit(ctx.now(), lane, service, job) {
             ctx.schedule_at(finish, Ev::CpuDone(token));
         }
     }
@@ -891,7 +897,7 @@ impl Model for Testbed {
     fn handle(&mut self, ctx: &mut Ctx<'_, Ev>, ev: Ev) {
         match ev {
             Ev::ClientArrive(cid) => {
-                let action = self.clients[cid.0 as usize].on_start(ctx.now());
+                let action = self.clients[cid.0 as usize].on_start(ctx.now(), &self.files);
                 self.run_client_action(ctx, cid, action);
             }
 
@@ -1106,34 +1112,23 @@ impl Model for Testbed {
                     ServerModel::Event(ref e) => {
                         let workers = e.workers();
                         let cpus = self.cfg.num_cpus;
-                        let jobs: Vec<(SimDuration, Job)> = files
-                            .iter()
-                            .map(|&f| {
-                                let reply_bytes = self.reply_wire_bytes(f);
-                                let split = self
-                                    .cfg
-                                    .costs
-                                    .event_request_service(reply_bytes, workers, cpus);
-                                (split.worker, Job::EventParse { conn, reply_bytes })
-                            })
-                            .collect();
-                        for (service, job) in jobs {
-                            self.enqueue_cpu(ctx, self.worker_lane, service, job);
+                        for f in files {
+                            let reply_bytes = self.reply_wire_bytes(f);
+                            let split = self
+                                .cfg
+                                .costs
+                                .event_request_service(reply_bytes, workers, cpus);
+                            let job = Job::EventParse { conn, reply_bytes };
+                            self.enqueue_cpu(ctx, self.worker_lane, split.worker, job);
                         }
                     }
                     ServerModel::Staged(_) => {
                         let cpus = self.cfg.num_cpus;
-                        let jobs: Vec<(SimDuration, Job)> = files
-                            .iter()
-                            .map(|&f| {
-                                let reply_bytes = self.reply_wire_bytes(f);
-                                let split =
-                                    self.cfg.costs.staged_request_service(reply_bytes, cpus);
-                                (split.worker, Job::StageParse { conn, reply_bytes })
-                            })
-                            .collect();
-                        for (service, job) in jobs {
-                            self.enqueue_cpu(ctx, self.stage_parse_lane, service, job);
+                        for f in files {
+                            let reply_bytes = self.reply_wire_bytes(f);
+                            let split = self.cfg.costs.staged_request_service(reply_bytes, cpus);
+                            let job = Job::StageParse { conn, reply_bytes };
+                            self.enqueue_cpu(ctx, self.stage_parse_lane, split.worker, job);
                         }
                     }
                 }
@@ -1172,7 +1167,7 @@ impl Model for Testbed {
                 let (done, started) = self.cpu.complete_info(ctx.now(), token);
                 let job_service = done.service;
                 let job = done.payload;
-                for (tok, finish, _svc) in started {
+                if let Some((tok, finish, _svc)) = started {
                     ctx.schedule_at(finish, Ev::CpuDone(tok));
                 }
                 if let Some(c) = job.conn_ref() {
@@ -1473,7 +1468,11 @@ impl Model for Testbed {
                         };
                         let count =
                             ((n as f64 * fraction).round() as usize).clamp(1, n);
-                        self.cpu.set_lane_cap(lane, (n - count).max(1));
+                        for (token, finish, _service) in
+                            self.cpu.set_lane_cap(ctx.now(), lane, (n - count).max(1))
+                        {
+                            ctx.schedule_at(finish, Ev::CpuDone(token));
+                        }
                         // Sharded accept: a dead worker's private listen
                         // queue is adopted by a survivor (the live layer's
                         // listener-fd takeover), so queued accepts survive.
@@ -1570,14 +1569,14 @@ impl Model for Testbed {
                                     (self.stage_parse_lane, parse_threads)
                                 }
                             };
-                            self.cpu.set_lane_cap(lane, n);
                             // Restarted workers rebind their own listeners.
                             if let ServerModel::Event(e) = &mut self.server {
                                 e.revive_shards(n);
                             }
                             // Freed capacity can start queued work right now.
-                            let started = self.cpu.kick(ctx.now());
-                            for (token, finish, _service) in started {
+                            for (token, finish, _service) in
+                                self.cpu.set_lane_cap(ctx.now(), lane, n)
+                            {
                                 ctx.schedule_at(finish, Ev::CpuDone(token));
                             }
                         }
@@ -1822,5 +1821,8 @@ pub fn run(cfg: TestbedConfig) -> Testbed {
     engine.schedule_at(SimTime::ZERO + duration, Ev::EndRun);
     let outcome = engine.run();
     assert_eq!(outcome, RunOutcome::Stopped, "run did not reach its horizon");
-    engine.into_model()
+    let engine_stats = engine.stats();
+    let mut testbed = engine.into_model();
+    testbed.engine_stats = engine_stats;
+    testbed
 }

@@ -167,3 +167,33 @@ fn staged_pipeline_outscales_flat_event_driven_on_smp() {
         flat.throughput_rps
     );
 }
+
+/// The engine's counts on a small fixed run. Every reply re-arms its
+/// client's 10 s timeout, so a quarter of all scheduled events are
+/// cancelled. The scheduled, dispatched and cancelled counts are pinned
+/// exactly: how the queue disposes of a cancelled event must not change
+/// which events the model sees. The pending-set peak must stay near the
+/// live population — about one timeout per client plus the events in
+/// flight — which holds only while cancelled events leave the queue at
+/// once.
+#[test]
+fn engine_counts_on_a_fixed_run() {
+    let clients = 600;
+    let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, gbit());
+    cfg.num_clients = clients;
+    cfg.duration = SimDuration::from_secs(12);
+    cfg.warmup = SimDuration::from_secs(2);
+    cfg.seed = 1 ^ u64::from(clients).wrapping_mul(0x9E37_79B9);
+    let tb = run(cfg);
+    let stats = tb.engine_stats;
+    assert_eq!(
+        (stats.dispatched, stats.scheduled, stats.cancelled),
+        (45_071, 59_852, 14_181)
+    );
+    assert_eq!(tb.metrics.traffic.replies_received, 8_550);
+    assert!(
+        stats.peak_pending <= 2 * clients as usize + 64,
+        "peak_pending {}",
+        stats.peak_pending
+    );
+}
