@@ -1,6 +1,8 @@
 //! IMF-fixdate formatting (`Sun, 06 Nov 1994 08:49:37 GMT`) without any
 //! date-time dependency: civil-from-days per Howard Hinnant's algorithms.
 
+use std::time::{Duration, Instant};
+
 /// Render an HTTP-date for the given Unix timestamp (seconds).
 pub fn http_date(unix_secs: u64) -> String {
     let days = (unix_secs / 86_400) as i64;
@@ -49,6 +51,33 @@ pub fn now_http_date() -> String {
     http_date(now)
 }
 
+/// The current HTTP-date, re-rendered at most once a second from an
+/// `Instant` the caller already holds: one `String` a second per owner,
+/// not one per reply or per connection.
+#[derive(Debug)]
+pub struct DateCache {
+    date: String,
+    rendered_at: Instant,
+}
+
+impl DateCache {
+    pub fn new(now: Instant) -> DateCache {
+        DateCache {
+            date: now_http_date(),
+            rendered_at: now,
+        }
+    }
+
+    /// The date as of `now`, at one-second resolution.
+    pub fn get(&mut self, now: Instant) -> &str {
+        if now.saturating_duration_since(self.rendered_at) >= Duration::from_secs(1) {
+            self.date = now_http_date();
+            self.rendered_at = now;
+        }
+        &self.date
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,6 +102,22 @@ mod tests {
     #[test]
     fn y2038_is_fine() {
         assert_eq!(http_date(2_147_483_648), "Tue, 19 Jan 2038 03:14:08 GMT");
+    }
+
+    #[test]
+    fn date_cache_renders_at_most_once_a_second() {
+        let t0 = Instant::now();
+        let mut cache = DateCache::new(t0);
+        let first = cache.get(t0).as_ptr();
+        // Within the second, the cached string itself comes back.
+        assert_eq!(cache.get(t0 + Duration::from_millis(999)).as_ptr(), first);
+        assert_eq!(cache.rendered_at, t0);
+        // A second on, it re-renders; an earlier instant never does.
+        let t1 = t0 + Duration::from_secs(1);
+        assert!(cache.get(t1).ends_with(" GMT"));
+        assert_eq!(cache.rendered_at, t1);
+        cache.get(t0);
+        assert_eq!(cache.rendered_at, t1);
     }
 
     #[test]

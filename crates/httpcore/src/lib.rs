@@ -8,7 +8,9 @@
 //! * [`reply`] — staged zero-copy reply queue (head + arena-slice segments
 //!   flushed with `write_vectored`);
 //! * [`content`] — the SURGE content store served by the real servers;
-//! * [`date`] — allocation-light IMF-fixdate formatting;
+//! * [`session`] — the protocol core both servers share: one connection's
+//!   [`Session`] and [`route`], the one reply decision;
+//! * [`date`] — IMF-fixdate formatting and the once-a-second [`DateCache`];
 //! * [`policy`] — the connection-lifecycle policy (timeouts + accept-path
 //!   defenses) both live servers accept, making the Fig-3 asymmetry a
 //!   config knob instead of an architectural constant, plus the one
@@ -27,14 +29,18 @@ pub mod policy;
 pub mod reply;
 pub mod request;
 pub mod response;
+pub mod session;
 pub mod sys;
 
 pub use buffer::ReadBuf;
 pub use content::{ArenaSlice, ContentStore};
-pub use date::{http_date, now_http_date};
+pub use date::{http_date, now_http_date, DateCache};
 pub use policy::{AcceptBackoff, AcceptRetry, Admission, LifecyclePolicy};
 pub use reply::{HeadPool, ReplyQueue};
 pub use request::{
     Method, ParseError, ParseOutcome, ParserLimits, Request, RequestParser, RequestPool, Version,
 };
-pub use response::{parse_response_head, write_head, write_head_full, ResponseHead, Status};
+pub use response::{
+    parse_response_head, send_closing_head, write_head, write_head_full, ResponseHead, Status,
+};
+pub use session::{route, Next, Session};

@@ -19,10 +19,9 @@
 //! [`Admission::refuse`] carries a refusal out, and [`AcceptBackoff`]
 //! paces an accept loop through `accept(2)` errors.
 
-use crate::request::Version;
-use crate::response::{write_head, Status};
+use crate::response::{send_closing_head, Status};
 use crate::sys::{self, ECONNABORTED, EINTR, EMFILE, ENFILE};
-use std::io::{self, Write};
+use std::io;
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -156,31 +155,14 @@ impl Admission {
     pub fn refuse(self, stream: &TcpStream, head: &mut Vec<u8>, date: &str) {
         match self {
             Admission::Admit => {}
-            Admission::Unavailable => respond_unavailable(stream, head, date),
+            Admission::Unavailable => {
+                send_closing_head(stream, head, Status::ServiceUnavailable, date)
+            }
             Admission::FdReserve | Admission::Shed => {
                 let _ = sys::set_linger_zero(stream);
             }
         }
     }
-}
-
-/// Best-effort `503 Service Unavailable, Connection: close` on a refused,
-/// still-blocking connection. The head is far smaller than any socket
-/// buffer, so the write cannot stall the accept loop. It renders into the
-/// caller's scratch and takes the caller's cached date, so a refusal storm
-/// at the cap allocates nothing per connection.
-fn respond_unavailable(stream: &TcpStream, head: &mut Vec<u8>, date: &str) {
-    head.clear();
-    write_head(
-        head,
-        Version::Http11,
-        Status::ServiceUnavailable,
-        0,
-        false,
-        date,
-    );
-    let mut w = stream;
-    let _ = w.write_all(head);
 }
 
 /// How an accept loop proceeds after a failed `accept(2)`.

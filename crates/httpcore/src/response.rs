@@ -7,6 +7,8 @@
 //! the content store shares one large arena slice for every reply.
 
 use crate::request::Version;
+use std::io::Write;
+use std::net::TcpStream;
 
 /// Response status subset the servers emit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,6 +107,16 @@ pub fn write_head_full(
     }
     out.extend_from_slice(b"\r\n");
     out.len() - before
+}
+
+/// Best-effort blocking write of a body-less `Connection: close` head, for
+/// the refusals and error answers a connection ends with. It renders into
+/// the caller's scratch `head`, so a refusal storm allocates nothing, and
+/// the head is far smaller than any socket buffer, so the write cannot stall.
+pub fn send_closing_head(mut stream: &TcpStream, head: &mut Vec<u8>, status: Status, date: &str) {
+    head.clear();
+    write_head(head, Version::Http11, status, 0, false, date);
+    let _ = stream.write_all(head);
 }
 
 /// Append the decimal digits of `v` without going through `core::fmt`.

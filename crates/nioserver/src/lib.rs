@@ -50,8 +50,8 @@ use connslab::{Handle, Slab};
 use faults::DrainReport;
 use httpcore::sys::{bind_reuseport, nofile_limits, set_linger_zero, set_rcvbuf, set_sndbuf};
 use httpcore::{
-    AcceptBackoff, Admission, ContentStore, HeadPool, LifecyclePolicy, Method, ParseError,
-    ParseOutcome, ReplyQueue, RequestParser, RequestPool, Status, Version,
+    AcceptBackoff, Admission, ContentStore, DateCache, HeadPool, LifecyclePolicy, Next,
+    ReplyQueue, RequestPool, Session, Status, Version,
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Stage, StageHists};
 use parking_lot::Mutex;
@@ -539,16 +539,12 @@ fn acceptor_loop(
     let fd_limit = nofile_limits().0;
     let mut backoff = AcceptBackoff::default();
     let mut resume_at: Option<Instant> = None;
-    // Refusal plumbing: one reused head buffer and a ~1 s date cache, so a
+    // Refusal plumbing: one reused head buffer and a date cache, so a
     // storm of 503 refusals at the admission cap allocates nothing.
     let mut refusal_head: Vec<u8> = Vec::new();
-    let mut date = httpcore::now_http_date();
-    let mut date_refresh = std::time::Instant::now();
+    let mut dates = DateCache::new(Instant::now());
     while !ctl.stop.load(Ordering::Relaxed) && !ctl.draining.load(Ordering::Relaxed) {
-        if date_refresh.elapsed() > Duration::from_secs(1) {
-            date = httpcore::now_http_date();
-            date_refresh = std::time::Instant::now();
-        }
+        let date = dates.get(Instant::now());
         if resume_at.is_some_and(|t| Instant::now() >= t) {
             resume_at = None;
         }
@@ -576,7 +572,7 @@ fn acceptor_loop(
                         &gauges,
                         &ends,
                         &mut refusal_head,
-                        &date,
+                        date,
                     ) {
                         router.route(stream, &gauges);
                     }
@@ -665,18 +661,13 @@ impl Router {
 /// Per-connection worker-side state.
 struct Conn {
     stream: TcpStream,
-    parser: RequestParser,
+    /// The protocol state. Once it is closed (the peer's FIN, a request
+    /// that does not keep the connection alive, or a reject) nothing more
+    /// is read, and the connection closes when its owed replies drain.
+    session: Session,
     /// Staged output: (head, arena-slice) response segments, flushed
     /// zero-copy via `write_vectored`.
     out: ReplyQueue,
-    /// Close once the output drains (HTTP/1.0 or Connection: close or 400).
-    close_after_flush: bool,
-    /// The peer sent FIN (`shutdown(SHUT_WR)` or close): no more request
-    /// bytes will ever arrive, but replies already owed must still be
-    /// flushed before the clean close. Read interest is dropped — a
-    /// level-triggered selector would otherwise re-report the EOF on
-    /// every pass while the flush is still in flight.
-    peer_half_closed: bool,
     /// Interest currently registered with the selector — cached so the hot
     /// path only pays a `reregister` syscall on an actual change.
     registered: Interest,
@@ -708,7 +699,7 @@ impl Conn {
     }
 
     fn interest(&self) -> Interest {
-        if self.peer_half_closed {
+        if self.session.is_closed() {
             // Nothing left to read — the connection only lives to drain
             // its owed replies.
             Interest::WRITABLE
@@ -721,7 +712,7 @@ impl Conn {
 
     /// Nothing owed and nothing half-received: safe to drain-close cleanly.
     fn drain_idle(&self) -> bool {
-        !self.wants_write() && self.parser.buffered() == 0
+        !self.wants_write() && self.session.buffered() == 0
     }
 
     /// The connection's current lifecycle deadline under `policy`, given
@@ -734,7 +725,7 @@ impl Conn {
             policy
                 .write_stall_timeout
                 .map(|d| (self.last_write_progress_ns + ns(d), EndCause::WriteStall))
-        } else if self.parser.buffered() > 0 {
+        } else if self.session.buffered() > 0 {
             policy
                 .header_timeout
                 .map(|d| (self.head_start_ns + ns(d), EndCause::HeaderTimeout))
@@ -820,10 +811,8 @@ fn install_conn(
     let fd = stream.as_raw_fd();
     let handle = conns.insert(Conn {
         stream,
-        parser: RequestParser::new(),
+        session: Session::new(),
         out: ReplyQueue::new(),
-        close_after_flush: false,
-        peer_half_closed: false,
         registered: Interest::READABLE,
         last_activity_ns: 0,
         last_write_progress_ns: 0,
@@ -891,8 +880,6 @@ fn worker_loop(
     let mut conns: Slab<Conn> = Slab::new();
     let mut events: Vec<Event> = Vec::new();
     let mut read_buf = vec![0u8; 64 * 1024];
-    let mut date = httpcore::now_http_date();
-    let mut date_refresh = std::time::Instant::now();
     let mut last_ready = 0usize;
     // Per-worker buffer pools: response heads and parser scratch recycle
     // through these instead of sitting as per-connection spares — at a
@@ -921,6 +908,7 @@ fn worker_loop(
     // configuration pays nothing. `wheel_live` is the entry count the last
     // compaction left (see the harvest below).
     let epoch = Instant::now();
+    let mut dates = DateCache::new(epoch);
     let deadlines_on = cfg.lifecycle.idle_timeout.is_some()
         || cfg.lifecycle.header_timeout.is_some()
         || cfg.lifecycle.write_stall_timeout.is_some();
@@ -1024,11 +1012,6 @@ fn worker_loop(
             }
         }
 
-        if date_refresh.elapsed() > Duration::from_secs(1) {
-            date = httpcore::now_http_date();
-            date_refresh = std::time::Instant::now();
-        }
-
         events.clear();
         // The waker interrupts this wait the moment a connection is handed
         // over; the 100 ms ceiling only bounds shutdown latency.
@@ -1040,12 +1023,11 @@ fn worker_loop(
         gauges.sub(GaugeKind::ReadySetSize, last_ready as u64);
         last_ready = ready;
         let draining = ctl.draining.load(Ordering::Relaxed);
-        // One clock read per wakeup serves every deadline decision below.
-        let now_ns = if deadlines_on {
-            epoch.elapsed().as_nanos() as u64
-        } else {
-            0
-        };
+        // One clock read per wakeup serves the reply dates and every
+        // deadline decision below.
+        let now = Instant::now();
+        let date = dates.get(now);
+        let now_ns = now.duration_since(epoch).as_nanos() as u64;
         // Drain the event buffer in place: the `Vec` keeps its capacity
         // across iterations instead of being discarded and regrown from
         // zero every loop.
@@ -1077,7 +1059,7 @@ fn worker_loop(
                                 &gauges,
                                 &ends,
                                 &mut refusal_head,
-                                &date,
+                                date,
                             ) else {
                                 continue;
                             };
@@ -1131,10 +1113,10 @@ fn worker_loop(
             let flushed_before = conn.bytes_flushed;
             let had_output = conn.wants_write();
             // An error/hang-up event with nothing readable is fatal — except
-            // on a half-closed connection, where EPOLLRDHUP is permanently
-            // asserted by the peer's FIN and the connection must stay alive
-            // exactly as long as it still owes output.
-            let mut dead = ev.error && !ev.readable && !(conn.peer_half_closed && ev.writable);
+            // once the session is closed (after a FIN, EPOLLRDHUP is
+            // permanently asserted): the connection must stay alive exactly
+            // as long as it still owes output.
+            let mut dead = ev.error && !ev.readable && !(conn.session.is_closed() && ev.writable);
             if ev.readable && !dead {
                 dead = handle_readable(
                     conn,
@@ -1142,7 +1124,7 @@ fn worker_loop(
                     &stats,
                     &ends,
                     &mut read_buf,
-                    &date,
+                    date,
                     &mut local_hists,
                     &mut head_pool,
                     &mut req_pool,
@@ -1155,7 +1137,7 @@ fn worker_loop(
                 dead = flush_output(conn, &stats, &mut head_pool);
                 local_hists.record(Stage::Transfer, t0.elapsed().as_nanos() as u64);
             }
-            if !dead && !conn.wants_write() && conn.close_after_flush {
+            if !dead && !conn.wants_write() && conn.session.is_closed() {
                 dead = true;
             }
             // Draining: a connection that just went drain-idle closes here
@@ -1178,7 +1160,7 @@ fn worker_loop(
                 {
                     conn.last_write_progress_ns = now_ns;
                 }
-                if conn.parser.buffered() > 0 {
+                if conn.session.buffered() > 0 {
                     if conn.head_start_ns == 0 {
                         conn.head_start_ns = now_ns;
                     }
@@ -1251,7 +1233,7 @@ fn worker_loop(
                         // Answer the half-sent request before closing: the
                         // head is tiny, one non-blocking shot delivers it
                         // unless the attacker also jammed the send buffer.
-                        respond_status(&mut conn, Status::RequestTimeout, &date, &mut head_pool);
+                        respond_status(&mut conn, Status::RequestTimeout, date, &mut head_pool);
                         let _ = flush_output(&mut conn, &stats, &mut head_pool);
                     }
                     _ => {
@@ -1380,8 +1362,7 @@ fn handle_readable(
                 // remaining job is to flush what it owes and close cleanly.
                 // A dangling partial head dies unanswered — it can never
                 // complete, so a 408 would be noise.
-                conn.peer_half_closed = true;
-                conn.close_after_flush = true;
+                conn.session.close();
                 return !conn.wants_write();
             }
             Ok(n) => {
@@ -1389,13 +1370,23 @@ fn handle_readable(
                 // after each served request so pipelined requests each get
                 // their own sample), the response build is service.
                 let mut p0 = Instant::now();
-                conn.parser.feed(&scratch[..n]);
+                conn.session.feed(&scratch[..n]);
                 loop {
-                    match conn.parser.parse_pooled(req_pool) {
-                        ParseOutcome::Complete(req) => {
+                    match conn.session.next(req_pool) {
+                        Next::Request(req) => {
                             hists.record(Stage::Parse, p0.elapsed().as_nanos() as u64);
                             let s0 = Instant::now();
-                            serve(conn, cfg, stats, &req, date, head_pool);
+                            stats.requests.fetch_add(1, Ordering::Relaxed);
+                            // The head renders into a buffer recycled through
+                            // the worker's pool and the body stages as an
+                            // arena handle: a steady-state reply copies and
+                            // allocates nothing.
+                            let mut head = head_pool.take();
+                            let body = httpcore::route(&req, &cfg.content, date, &mut head);
+                            conn.out.push_head(head, head_pool);
+                            if let Some(id) = body {
+                                conn.out.push_body(cfg.content.body_slice(id));
+                            }
                             // Return the request's allocations to the
                             // worker's pool for the next parse on *any*
                             // connection — idle connections hold no scratch.
@@ -1403,23 +1394,14 @@ fn handle_readable(
                             hists.record(Stage::Service, s0.elapsed().as_nanos() as u64);
                             p0 = Instant::now();
                         }
-                        ParseOutcome::Incomplete => break,
-                        ParseOutcome::Error(e) => {
+                        Next::Reject { status, limit } => {
                             stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                            // A tripped parser *limit* is a resource
-                            // defense, not a syntax error: say so with 431
-                            // and count it in the lifecycle tally.
-                            let status = match e {
-                                ParseError::LineTooLong | ParseError::TooManyHeaders => {
-                                    ends.record(EndCause::ParseLimit);
-                                    Status::RequestHeaderFieldsTooLarge
-                                }
-                                _ => Status::BadRequest,
-                            };
+                            if limit {
+                                ends.record(EndCause::ParseLimit);
+                            }
                             respond_status(conn, status, date, head_pool);
-                            conn.close_after_flush = true;
-                            break;
                         }
+                        Next::Wait | Next::Closed => break,
                     }
                 }
                 // Opportunistic write of what we just queued (timed as
@@ -1436,8 +1418,9 @@ fn handle_readable(
                 // A short read means the socket buffer was drained at
                 // syscall time — skip the read that would only confirm
                 // `WouldBlock`. The selector is level-triggered: bytes that
-                // arrive later re-report the fd, so nothing is lost.
-                if n < scratch.len() {
+                // arrive later re-report the fd, so nothing is lost. A
+                // closed session reads nothing more at all.
+                if n < scratch.len() || conn.session.is_closed() {
                     return false;
                 }
             }
@@ -1445,76 +1428,6 @@ fn handle_readable(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return true,
         }
-    }
-}
-
-fn serve(
-    conn: &mut Conn,
-    cfg: &NioConfig,
-    stats: &NioStats,
-    req: &httpcore::Request,
-    date: &str,
-    pool: &mut HeadPool,
-) {
-    stats.requests.fetch_add(1, Ordering::Relaxed);
-    let keep = req.keep_alive();
-    // Heads render into a buffer recycled through the worker's pool; bodies
-    // stage as arena handles — a steady-state connection serves every reply
-    // copy- and allocation-free, and an idle connection holds no spares.
-    let mut head = pool.take();
-    match (req.method, cfg.content.resolve(&req.target)) {
-        (Method::Get, Some(id)) => {
-            let lm = cfg.content.last_modified(id);
-            if req.header("if-modified-since") == Some(lm) {
-                httpcore::write_head_full(
-                    &mut head,
-                    req.version,
-                    Status::NotModified,
-                    0,
-                    keep,
-                    date,
-                    Some(lm),
-                );
-                conn.out.push_head(head, pool);
-            } else {
-                let body = cfg.content.body_slice(id);
-                httpcore::write_head_full(
-                    &mut head,
-                    req.version,
-                    Status::Ok,
-                    body.len(),
-                    keep,
-                    date,
-                    Some(lm),
-                );
-                conn.out.push_head(head, pool);
-                conn.out.push_body(body);
-            }
-        }
-        (Method::Head, Some(id)) => {
-            let lm = cfg.content.last_modified(id);
-            let len = cfg.content.size_of(id) as usize;
-            httpcore::write_head_full(&mut head, req.version, Status::Ok, len, keep, date, Some(lm));
-            conn.out.push_head(head, pool);
-        }
-        (Method::Other, _) => {
-            httpcore::write_head(
-                &mut head,
-                req.version,
-                Status::NotImplemented,
-                0,
-                keep,
-                date,
-            );
-            conn.out.push_head(head, pool);
-        }
-        (_, None) => {
-            httpcore::write_head(&mut head, req.version, Status::NotFound, 0, keep, date);
-            conn.out.push_head(head, pool);
-        }
-    }
-    if !keep {
-        conn.close_after_flush = true;
     }
 }
 

@@ -32,13 +32,13 @@
 use faults::DrainReport;
 use httpcore::sys::{nofile_limits, set_linger_zero, set_rcvbuf, set_sndbuf};
 use httpcore::{
-    AcceptBackoff, Admission, ContentStore, LifecyclePolicy, Method, ParseError, ParseOutcome,
-    RequestParser, RequestPool, Status, Version,
+    send_closing_head, AcceptBackoff, Admission, ContentStore, DateCache, LifecyclePolicy, Next,
+    RequestPool, Session, Status,
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, Stage, StageHists};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -364,6 +364,8 @@ fn pool_thread(
     let fd_limit = nofile_limits().0;
     let mut backoff = AcceptBackoff::default();
     let mut refusal_head = Vec::new();
+    // The thread's reply dates, shared by every connection it serves.
+    let mut dates = DateCache::new(Instant::now());
     loop {
         if ctl.stop.load(Ordering::Relaxed) || ctl.draining.load(Ordering::Relaxed) {
             break;
@@ -403,7 +405,7 @@ fn pool_thread(
                     } else {
                         EndCause::Refused
                     });
-                    admission.refuse(&stream, &mut refusal_head, &httpcore::now_http_date());
+                    admission.refuse(&stream, &mut refusal_head, dates.get(Instant::now()));
                     continue;
                 }
                 stats.accepted.fetch_add(1, Ordering::Relaxed);
@@ -423,6 +425,7 @@ fn pool_thread(
                     &in_flight,
                     &mut local_hists,
                     &mut req_pool,
+                    &mut dates,
                 );
                 ctl.registry.remove(id);
                 if ctl.draining.load(Ordering::SeqCst) {
@@ -588,6 +591,7 @@ fn serve_connection(
     in_flight: &AtomicBool,
     hists: &mut StageHists,
     req_pool: &mut RequestPool,
+    dates: &mut DateCache,
 ) -> bool {
     let _ = stream.set_nodelay(true);
     // Same socket-buffer sizing as the event server: the default
@@ -618,7 +622,7 @@ fn serve_connection(
         .min(idle)
         .min(cfg.lifecycle.header_timeout.unwrap_or(Duration::MAX));
     let _ = stream.set_read_timeout(Some(slice));
-    let mut parser = RequestParser::new();
+    let mut session = Session::new();
     let mut buf = vec![0u8; 64 * 1024];
     // Head buffer reused across every response on this connection.
     let mut head = Vec::new();
@@ -626,7 +630,6 @@ fn serve_connection(
     // the first partial byte. Absolute — a byte-per-second dribble (the
     // slow-loris shape) must not slide it.
     let mut head_started: Option<Instant> = None;
-    let date = httpcore::now_http_date();
     loop {
         if ctl.stop.load(Ordering::Relaxed) {
             return false;
@@ -635,16 +638,8 @@ fn serve_connection(
             if t0.elapsed() >= limit {
                 // The head never completed in time: answer 408 and close.
                 ends.record(EndCause::HeaderTimeout);
-                let mut out = Vec::new();
-                httpcore::write_head(
-                    &mut out,
-                    Version::Http11,
-                    Status::RequestTimeout,
-                    0,
-                    false,
-                    &date,
-                );
-                let _ = stream.write_all(&out);
+                let date = dates.get(Instant::now());
+                send_closing_head(&stream, &mut head, Status::RequestTimeout, date);
                 return false;
             }
         }
@@ -656,15 +651,15 @@ fn serve_connection(
                 // after each served request so pipelined requests each get
                 // their own sample.
                 let mut p0 = Instant::now();
-                parser.feed(&buf[..n]);
+                let date = dates.get(p0);
+                session.feed(&buf[..n]);
                 loop {
-                    match parser.parse_pooled(req_pool) {
-                        ParseOutcome::Complete(req) => {
+                    match session.next(req_pool) {
+                        Next::Request(req) => {
                             hists.record(Stage::Parse, p0.elapsed().as_nanos() as u64);
-                            let keep = req.keep_alive();
                             in_flight.store(true, Ordering::SeqCst);
                             let sent = respond(
-                                cfg, &mut stream, stats, ends, &req, &date, &mut head, hists,
+                                cfg, &mut stream, stats, ends, &req, date, &mut head, hists,
                             );
                             in_flight.store(false, Ordering::SeqCst);
                             p0 = Instant::now();
@@ -682,38 +677,20 @@ fn serve_connection(
                                 let _ = set_linger_zero(&stream);
                                 return true; // response lost
                             }
-                            if !keep {
-                                return false;
-                            }
                         }
-                        ParseOutcome::Incomplete => break,
-                        ParseOutcome::Error(e) => {
+                        Next::Wait => break,
+                        Next::Reject { status, limit } => {
                             stats.parse_errors.fetch_add(1, Ordering::Relaxed);
-                            // Limit trips are their own status: the request
-                            // was well-formed but oversized, and the client
-                            // deserves to know which defense fired.
-                            let status = match e {
-                                ParseError::LineTooLong | ParseError::TooManyHeaders => {
-                                    ends.record(EndCause::ParseLimit);
-                                    Status::RequestHeaderFieldsTooLarge
-                                }
-                                _ => Status::BadRequest,
-                            };
-                            let mut out = Vec::new();
-                            httpcore::write_head(
-                                &mut out,
-                                Version::Http11,
-                                status,
-                                0,
-                                false,
-                                &date,
-                            );
-                            let _ = stream.write_all(&out);
+                            if limit {
+                                ends.record(EndCause::ParseLimit);
+                            }
+                            send_closing_head(&stream, &mut head, status, date);
                             return false;
                         }
+                        Next::Closed => return false,
                     }
                 }
-                head_started = if parser.buffered() > 0 {
+                head_started = if session.buffered() > 0 {
                     Some(head_started.unwrap_or_else(Instant::now))
                 } else {
                     None
@@ -776,47 +753,11 @@ fn respond(
     stats.requests.fetch_add(1, Ordering::Relaxed);
     // Service = building the response; transfer = the blocking write below.
     let s0 = Instant::now();
-    let keep = req.keep_alive();
     head.clear();
-    let mut body: &[u8] = &[];
-    match (req.method, cfg.content.resolve(&req.target)) {
-        (Method::Get, Some(id)) => {
-            let lm = cfg.content.last_modified(id);
-            if req.header("if-modified-since") == Some(lm) {
-                httpcore::write_head_full(
-                    head,
-                    req.version,
-                    Status::NotModified,
-                    0,
-                    keep,
-                    date,
-                    Some(lm),
-                );
-            } else {
-                body = cfg.content.body(id);
-                httpcore::write_head_full(
-                    head,
-                    req.version,
-                    Status::Ok,
-                    body.len(),
-                    keep,
-                    date,
-                    Some(lm),
-                );
-            }
-        }
-        (Method::Head, Some(id)) => {
-            let lm = cfg.content.last_modified(id);
-            let len = cfg.content.size_of(id) as usize;
-            httpcore::write_head_full(head, req.version, Status::Ok, len, keep, date, Some(lm));
-        }
-        (Method::Other, _) => {
-            httpcore::write_head(head, req.version, Status::NotImplemented, 0, keep, date);
-        }
-        (_, None) => {
-            httpcore::write_head(head, req.version, Status::NotFound, 0, keep, date);
-        }
-    }
+    let body = match httpcore::route(req, &cfg.content, date, head) {
+        Some(id) => cfg.content.body(id),
+        None => &[],
+    };
     hists.record(Stage::Service, s0.elapsed().as_nanos() as u64);
     let t0 = Instant::now();
     let out = match write_two(stream, head, body) {
@@ -871,6 +812,7 @@ mod tests {
     use super::*;
     use desim::Rng;
     use faults::FaultTarget;
+    use std::io::Write;
     use workload::{FileSet, SurgeConfig};
 
     fn test_content() -> Arc<ContentStore> {
@@ -948,6 +890,39 @@ mod tests {
                 content.body(workload::FileId(id))
             );
         }
+        server.shutdown();
+    }
+
+    #[test]
+    fn date_advances_on_a_keep_alive_connection() {
+        // The reply date comes from the thread's once-a-second cache, not
+        // from the moment the connection was accepted: two replies 2.1 s
+        // apart on one connection carry different dates.
+        let (server, _) = start(1, None);
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut date = || {
+            s.write_all(b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n")
+                .unwrap();
+            let mut buf = Vec::new();
+            let mut tmp = [0u8; 1024];
+            let head = loop {
+                if let Some(h) = httpcore::parse_response_head(&buf) {
+                    break h.unwrap();
+                }
+                let n = s.read(&mut tmp).unwrap();
+                assert!(n > 0, "server closed mid-reply");
+                buf.extend_from_slice(&tmp[..n]);
+            };
+            assert_eq!((head.status, head.content_length), (404, 0));
+            let text = String::from_utf8(buf[..head.head_len].to_vec()).unwrap();
+            let line = text.split("\r\n").find(|l| l.starts_with("Date: "));
+            line.expect("a Date header").to_string()
+        };
+        let first = date();
+        std::thread::sleep(Duration::from_millis(2100));
+        let second = date();
+        assert_ne!(first, second, "Date froze for the connection's lifetime");
         server.shutdown();
     }
 

@@ -161,9 +161,10 @@ impl<'a> Oracle<'a> {
     }
 }
 
-/// Mirror of both servers' `serve`/`respond` routing, reduced to
-/// observables. Match arms are ordered exactly as the servers order
-/// theirs (unknown method wins over missing target).
+/// An independent mirror of `httpcore::route`, reduced to observables.
+/// Unknown method wins over missing target, as in `route`. It is kept a
+/// separate copy on purpose: an oracle that shared the code would check
+/// nothing.
 fn serve_model(req: &httpcore::Request, content: &ContentStore) -> ReplyObs {
     match (req.method, content.resolve(&req.target)) {
         (Method::Get, Some(id)) => {

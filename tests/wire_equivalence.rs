@@ -6,8 +6,9 @@
 //! three live servers — the nio server in handoff mode, the nio server in
 //! sharded mode, and the thread-pool server — and the full response
 //! streams must be byte-identical modulo the `Date` header (the one
-//! documented per-run difference: poolserver stamps it per connection, the
-//! nio server per selector pass).
+//! documented per-run difference: each server thread keeps its own
+//! once-a-second `httpcore::DateCache`, so two servers may straddle a
+//! second boundary).
 //!
 //! The scripts cover the parser's edge behaviour end to end: pipelined
 //! bursts, heads split at awkward chunk boundaries, oversized heads
@@ -144,6 +145,17 @@ fn scripts() -> Vec<Script> {
                 Step::HalfClose,
             ],
             expect: vec![200, 200],
+        },
+        Script {
+            // Requests pipelined behind a `Connection: close` request are
+            // never answered (RFC 9112 §9.6): the server stops at the close.
+            name: "close_then_pipelined",
+            steps: vec![Step::Send(concat_requests(&[
+                "GET /f/0 HTTP/1.1\r\nHost: sut\r\nConnection: close\r\n\r\n",
+                "GET /f/1 HTTP/1.1\r\nHost: sut\r\n\r\n",
+                "GET /nope HTTP/1.1\r\nHost: sut\r\n\r\n",
+            ]))],
+            expect: vec![200],
         },
         Script {
             // Promoted from the conformance corpus: a complete request
