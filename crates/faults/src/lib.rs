@@ -12,13 +12,11 @@
 //! discrete-event testbed in virtual time and the loopback fault driver in
 //! wall-clock time.
 
-pub mod fleet;
 pub mod live;
 pub mod plan;
 pub mod policy;
 pub mod recovery;
 
-pub use fleet::{FleetFaultPlan, HostFault, RetryBudget};
 pub use live::{run_plan, FaultTarget, PlanOutcome};
 pub use plan::{FaultEvent, FaultKind, FaultPlan, PLAN_NAMES};
 pub use policy::{AcceptMode, AdmissionControl, DrainReport, RetryPolicy, ACCEPT_MODE_ENV};

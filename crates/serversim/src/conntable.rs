@@ -1,7 +1,7 @@
 //! Slab-backed connection table for the simulators.
 //!
-//! The testbed and fleet models used to key connection records on a
-//! `HashMap<ConnId, _>` fed by a monotone counter. At a million simulated
+//! The testbed used to key connection records on a `HashMap<ConnId, _>`
+//! fed by a monotone counter. At a million simulated
 //! connections the hash table is the dominant cost of every event dispatch
 //! (hash, probe, chase) and of the churn path (rehash spikes). This table
 //! stores records in a generation-tagged slab ([`connslab::Slab`]) and makes
@@ -11,10 +11,10 @@
 //! exactly like a `HashMap` miss would.
 //!
 //! The packing keeps the low 32 bits a monotone insertion sequence, so
-//! every `conn.0 % n` style round-robin in the models (shard picking, link
+//! every `conn.0 % n` style round-robin in the testbed (shard picking, link
 //! assignment) sees the same distribution the sequential counter produced.
 //!
-//! The API deliberately mirrors the `HashMap` surface the models already
+//! The API deliberately mirrors the `HashMap` surface the testbed already
 //! used (`&ConnId` keys, `Index<&ConnId>`, `keys`/`values`/`iter`), so the
 //! swap is mechanical; the one visible difference is that `iter` and `keys`
 //! yield `ConnId` by value.

@@ -6,23 +6,17 @@
 //! * [`threaded`] — Apache-worker-style pool/backlog bookkeeping;
 //! * [`event_driven`] — NIO-style acceptor/selector bookkeeping;
 //! * [`testbed`] — the discrete-event model wiring everything together;
-//! * [`result`] — per-run summary extraction ([`RunResult`]);
-//! * [`balancer`] — fault-aware L7 load balancer for replica fleets;
-//! * [`fleet`] — the N-replica testbed behind the balancer.
+//! * [`result`] — per-run summary extraction ([`RunResult`]).
 
-pub mod balancer;
 pub mod config;
 pub mod conntable;
 pub mod event_driven;
-pub mod fleet;
 pub mod result;
 pub mod testbed;
 pub mod threaded;
 
-pub use balancer::{HealthConfig, HealthState, LoadBalancer, Strategy};
 pub use config::{ServerArch, TestbedConfig};
 pub use event_driven::EventServer;
-pub use fleet::{run_fleet, FleetConfig, FleetTestbed, RollingRestart};
 pub use result::RunResult;
 pub use testbed::{run, Testbed};
 pub use threaded::ThreadedServer;

@@ -3,13 +3,11 @@
 //! and plan execution never corrupts accounting.
 
 use desim::SimDuration;
-use faults::{AcceptMode, FaultEvent, FaultKind, FaultPlan, FleetFaultPlan, HostFault};
+use faults::{AcceptMode, FaultEvent, FaultKind, FaultPlan};
 use metrics::Histogram;
 use netsim::LinkConfig;
 use proptest::prelude::*;
-use serversim::{
-    run, run_fleet, FleetConfig, FleetTestbed, ServerArch, Strategy, Testbed, TestbedConfig,
-};
+use serversim::{run, ServerArch, Testbed, TestbedConfig};
 
 const SEC: u64 = 1_000_000_000;
 
@@ -100,62 +98,6 @@ fn digest(tb: &Testbed) -> Digest {
             .iter()
             .map(|r| r.to_bits())
             .collect(),
-        stale_events: tb.stale_events,
-        syns_refused: tb.syns_refused,
-    }
-}
-
-/// Digest of a fleet run, with exact (bit-level) equality: client-side
-/// traffic, loss/failover accounting, every health transition the balancer
-/// recorded, and the per-replica reply split.
-#[derive(Debug, PartialEq)]
-struct FleetDigest {
-    traffic: [u64; 6],
-    lost_replies: u64,
-    failover_retries: u64,
-    connect_redirects: u64,
-    conns_rehomed: u64,
-    ejections: u64,
-    readmissions: u64,
-    transitions: Vec<(u64, usize, &'static str)>,
-    host_replies: Vec<u64>,
-    reply_windows: Vec<u64>,
-    response_hist: (u64, u64, u64, u64),
-    stale_events: u64,
-    syns_refused: u64,
-}
-
-fn fleet_digest(tb: &FleetTestbed) -> FleetDigest {
-    let t = &tb.metrics.traffic;
-    FleetDigest {
-        traffic: [
-            t.connections_established,
-            t.requests_sent,
-            t.replies_received,
-            t.sessions_completed,
-            t.bytes_received,
-            t.retries,
-        ],
-        lost_replies: tb.lost_replies,
-        failover_retries: tb.failover_retries,
-        connect_redirects: tb.connect_redirects,
-        conns_rehomed: tb.conns_rehomed,
-        ejections: tb.lb.ejections(),
-        readmissions: tb.lb.readmissions(),
-        transitions: tb
-            .transitions
-            .iter()
-            .map(|&(ns, h, s)| (ns, h, s.label()))
-            .collect(),
-        host_replies: tb.host_replies(),
-        reply_windows: tb
-            .metrics
-            .replies
-            .rates_per_sec()
-            .iter()
-            .map(|r| r.to_bits())
-            .collect(),
-        response_hist: hist_digest(&tb.metrics.response_time_us),
         stale_events: tb.stale_events,
         syns_refused: tb.syns_refused,
     }
@@ -274,55 +216,5 @@ proptest! {
             t.connections_established
         );
         prop_assert!(shard_total > 0, "sharded path must actually accept");
-    }
-
-    /// Any generated fault event, scoped to any single replica of a 3-host
-    /// fleet, replays bit-identically under every balancer strategy: same
-    /// seed + same scoped plan ⇒ identical client metrics, loss/failover
-    /// accounting, health-transition log and per-replica reply split. The
-    /// scoping is also airtight — replicas the plan does not name get an
-    /// empty fault fragment.
-    #[test]
-    fn any_per_host_plan_replays_bit_identically(
-        kind_sel in 0u8..8,
-        start_s in 2u64..10,
-        dur_s in 1u64..7,
-        knob in 0u32..100,
-        host in 0usize..3,
-        strat_sel in 0u8..3,
-        seed in 0u64..10_000,
-    ) {
-        let plan = FleetFaultPlan::new(
-            "generated-scoped",
-            vec![HostFault {
-                host,
-                event: event_from(kind_sel, start_s, dur_s, knob),
-            }],
-        );
-        prop_assert!(plan.validate(3, 1).is_ok(), "generator must emit valid fleet plans");
-        for other in (0..3).filter(|&h| h != host) {
-            prop_assert!(plan.for_host(other).is_empty(), "fault leaked to host {other}");
-        }
-
-        let mk = || {
-            let mut cfg = FleetConfig::baseline(3, Strategy::ALL[strat_sel as usize % 3]);
-            cfg.num_clients = 45;
-            cfg.duration = SimDuration::from_secs(18);
-            cfg.warmup = SimDuration::from_secs(3);
-            cfg.seed = seed;
-            cfg.fleet_plan = Some(plan.clone());
-            cfg
-        };
-        let a = run_fleet(mk());
-        let b = run_fleet(mk());
-        prop_assert_eq!(
-            fleet_digest(&a),
-            fleet_digest(&b),
-            "same seed + scoped plan must replay identically through the balancer"
-        );
-        prop_assert!(
-            a.metrics.traffic.replies_received > 0,
-            "fleet must survive the scoped fault"
-        );
     }
 }
