@@ -58,20 +58,16 @@ fn selector_scan(c: &mut Criterion) {
                 pairs[0].0.write_all(b"x").unwrap();
             }
             let mut events = Vec::new();
-            group.bench_with_input(
-                BenchmarkId::new(kind, n),
-                &n,
-                |b, _| {
-                    b.iter(|| {
-                        events.clear();
-                        let got = selector
-                            .select(&mut events, Some(Duration::from_millis(100)))
-                            .expect("select");
-                        assert_eq!(got, 1, "exactly the one hot fd");
-                        std::hint::black_box(events.len())
-                    })
-                },
-            );
+            group.bench_with_input(BenchmarkId::new(kind, n), &n, |b, _| {
+                b.iter(|| {
+                    events.clear();
+                    let got = selector
+                        .select(&mut events, Some(Duration::from_millis(100)))
+                        .expect("select");
+                    assert_eq!(got, 1, "exactly the one hot fd");
+                    std::hint::black_box(events.len())
+                })
+            });
         }
     }
     group.finish();

@@ -432,10 +432,7 @@ mod tests {
         let (mut c, files, mut m) = fixture();
         c.on_start(t(0), &files);
         let act = c.on_refused(t(1), &files, &mut m);
-        assert_eq!(
-            act,
-            ClientAction::ConnectAfter(SimDuration::from_secs(1))
-        );
+        assert_eq!(act, ClientAction::ConnectAfter(SimDuration::from_secs(1)));
         assert_eq!(m.errors.connection_refused, 1);
         assert_eq!(c.phase(), ClientPhase::Connecting);
     }

@@ -57,9 +57,9 @@ pub use httpcore;
 pub use loadgen;
 pub use metrics;
 pub use netsim;
-pub use obs;
 #[cfg(target_os = "linux")]
 pub use nioserver;
+pub use obs;
 #[cfg(target_os = "linux")]
 pub use poolserver;
 pub use reactor;
@@ -96,8 +96,7 @@ mod tests {
     #[test]
     fn run_experiment_smoke() {
         let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-        let mut cfg =
-            TestbedConfig::paper_default(ServerArch::Threaded { pool: 64 }, 1, link);
+        let mut cfg = TestbedConfig::paper_default(ServerArch::Threaded { pool: 64 }, 1, link);
         cfg.num_clients = 50;
         cfg.duration = SimDuration::from_secs(10);
         cfg.warmup = SimDuration::from_secs(3);

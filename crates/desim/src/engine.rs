@@ -135,7 +135,10 @@ pub enum RunOutcome {
 
 /// The discrete-event engine. Generic over the model and the pending-event
 /// set implementation (binary heap by default).
-pub struct Engine<M: Model, Q: EventQueue<<M as Model>::Event> = BinaryHeapQueue<<M as Model>::Event>> {
+pub struct Engine<
+    M: Model,
+    Q: EventQueue<<M as Model>::Event> = BinaryHeapQueue<<M as Model>::Event>,
+> {
     now: SimTime,
     seq: u64,
     queue: Q,
@@ -576,7 +579,10 @@ mod tests {
         };
         let mut eng = Engine::new(model, 1);
         eng.schedule_at(SimTime::ZERO, Tick::Tick);
-        assert_eq!(eng.run_for(SimDuration::from_millis(35)), RunOutcome::HorizonReached);
+        assert_eq!(
+            eng.run_for(SimDuration::from_millis(35)),
+            RunOutcome::HorizonReached
+        );
         assert_eq!(eng.now(), SimTime::from_millis(35));
         assert_eq!(eng.model().fired_at.len(), 4); // t = 0, 10, 20, 30
         eng.run_for(SimDuration::from_millis(30));

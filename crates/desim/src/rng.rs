@@ -66,10 +66,7 @@ impl Xoshiro256StarStar {
     /// Produce the next 64-bit output.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
-        let result = self.s[1]
-            .wrapping_mul(5)
-            .rotate_left(7)
-            .wrapping_mul(9);
+        let result = self.s[1].wrapping_mul(5).rotate_left(7).wrapping_mul(9);
         let t = self.s[1] << 17;
         self.s[2] ^= self.s[0];
         self.s[3] ^= self.s[1];
@@ -130,7 +127,8 @@ impl Rng {
     /// Useful when entities are created in model-dependent order but must
     /// keep stable streams (e.g. "client #42").
     pub fn split_labeled(&self, label: u64) -> Rng {
-        let mut mix = SplitMix64::new(self.seed.rotate_left(17) ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let mut mix =
+            SplitMix64::new(self.seed.rotate_left(17) ^ label.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let child_seed = mix.next_u64();
         Rng {
             inner: Xoshiro256StarStar::new(child_seed),

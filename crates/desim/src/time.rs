@@ -344,7 +344,9 @@ mod tests {
 
     #[test]
     fn checked_add_overflow() {
-        assert!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)).is_none());
+        assert!(SimTime::MAX
+            .checked_add(SimDuration::from_nanos(1))
+            .is_none());
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_secs(5)),
             SimTime::MAX

@@ -336,7 +336,10 @@ pub fn parse_capacity_json(text: &str) -> Result<CapacityReport, String> {
     for row in rows {
         let o = row.as_object().ok_or("curve row must be an object")?;
         let mut points = Vec::new();
-        for p in get(o, "points")?.as_array().ok_or("'points' must be an array")? {
+        for p in get(o, "points")?
+            .as_array()
+            .ok_or("'points' must be an array")?
+        {
             let pair = p.as_array().ok_or("point must be a [n, rps] pair")?;
             match pair {
                 [Json::Num(n), Json::Num(y)] => points.push((*n, *y)),
@@ -542,7 +545,9 @@ mod tests {
         worse.curves[0].fit = Some(fake_fit(0.08, 0.12));
         let checks = capacity_checks(&baseline, &worse);
         assert!(
-            checks.iter().any(|c| !c.pass && c.name.contains("coherency")),
+            checks
+                .iter()
+                .any(|c| !c.pass && c.name.contains("coherency")),
             "{checks:?}"
         );
     }
@@ -587,7 +592,10 @@ mod tests {
                 c.key(),
                 c.points
             );
-            let fit = c.fit.as_ref().unwrap_or_else(|| panic!("{} has no fit", c.key()));
+            let fit = c
+                .fit
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} has no fit", c.key()));
             assert!(
                 (0.0..=1.0).contains(&fit.sigma),
                 "{}: sigma {}",

@@ -119,8 +119,8 @@ pub struct Campaign {
 
 /// All figure ids, in paper order.
 pub const ALL_FIGURE_IDS: [&str; 17] = [
-    "fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7a",
-    "fig7b", "fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b",
+    "fig1a", "fig1b", "fig2a", "fig2b", "fig3a", "fig3b", "fig4", "fig5", "fig6", "fig7a", "fig7b",
+    "fig8a", "fig8b", "fig9a", "fig9b", "fig10a", "fig10b",
 ];
 
 /// Extension experiments beyond the paper's figures: the §6 staged-pipeline
@@ -485,7 +485,10 @@ mod tests {
             60,
         );
         assert_eq!(cfg.accept_mode, AcceptMode::Sharded);
-        assert_eq!(Campaign::new(Scale::quick()).accept_mode(), AcceptMode::Handoff);
+        assert_eq!(
+            Campaign::new(Scale::quick()).accept_mode(),
+            AcceptMode::Handoff
+        );
     }
 
     #[test]

@@ -110,7 +110,10 @@ pub fn run_chaos(smoke: bool) -> ChaosReport {
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("chaos run")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("chaos run"))
+            .collect()
     });
     let checks = chaos_checks(&results, plans);
     ChaosReport {

@@ -68,7 +68,10 @@ pub fn check_figure(fig: &Figure) -> Vec<Check> {
             out.push(Check::new(
                 "1 worker is the best UP configuration",
                 p1 >= peak_of(fig, "nio-4w") * 0.97 && p1 >= p8 * 0.97,
-                format!("peaks 1w={p1:.0} 4w={:.0} 8w={p8:.0}", peak_of(fig, "nio-4w")),
+                format!(
+                    "peaks 1w={p1:.0} 4w={:.0} 8w={p8:.0}",
+                    peak_of(fig, "nio-4w")
+                ),
             ));
             out.push(Check::new(
                 "8 workers degrade but do not collapse",

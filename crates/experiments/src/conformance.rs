@@ -28,7 +28,7 @@ use httpcore::{ContentStore, LifecyclePolicy};
 use nioserver::{AcceptMode, BackendKind, NioConfig, NioServer};
 use poolserver::{PoolConfig, PoolServer};
 use protomodel::{
-    diff, generate, parse_sequence, run_sequence, serialize_sequence, Mutation, ModelCtx, Oracle,
+    diff, generate, parse_sequence, run_sequence, serialize_sequence, ModelCtx, Mutation, Oracle,
     Sequence, Transition,
 };
 use workload::{FileSet, SurgeConfig};
@@ -119,7 +119,11 @@ pub fn conformance_policy() -> LifecyclePolicy {
 fn conformance_content() -> Arc<ContentStore> {
     let mut rng = Rng::new(41);
     let fs = FileSet::build(
-        &SurgeConfig { num_files: 16, tail_prob: 0.0, ..SurgeConfig::default() },
+        &SurgeConfig {
+            num_files: 16,
+            tail_prob: 0.0,
+            ..SurgeConfig::default()
+        },
         &mut rng,
     );
     Arc::new(ContentStore::from_fileset(&fs))
@@ -205,10 +209,9 @@ pub fn corpus_entries() -> Vec<(String, Sequence)> {
         .into_iter()
         .map(|p| {
             let name = p.file_name().unwrap().to_string_lossy().into_owned();
-            let text = std::fs::read_to_string(&p)
-                .unwrap_or_else(|e| panic!("read corpus {name}: {e}"));
-            let seq = parse_sequence(&text)
-                .unwrap_or_else(|e| panic!("parse corpus {name}: {e}"));
+            let text =
+                std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read corpus {name}: {e}"));
+            let seq = parse_sequence(&text).unwrap_or_else(|e| panic!("parse corpus {name}: {e}"));
             (name, seq)
         })
         .collect()
@@ -219,7 +222,11 @@ pub fn corpus_entries() -> Vec<(String, Sequence)> {
 /// checks.
 pub fn run_conformance(smoke: bool) -> ConformanceReport {
     let t0 = Instant::now();
-    let n = if smoke { SMOKE_SEQUENCES } else { FULL_SEQUENCES };
+    let n = if smoke {
+        SMOKE_SEQUENCES
+    } else {
+        FULL_SEQUENCES
+    };
     let rig = ConformanceRig::start();
     let corpus = corpus_entries();
 
@@ -323,7 +330,10 @@ pub fn run_conformance(smoke: bool) -> ConformanceReport {
     let coverage: Vec<CoverageRow> = Transition::ALL
         .iter()
         .zip(&hits)
-        .map(|(t, h)| CoverageRow { transition: t.label(), hits: *h })
+        .map(|(t, h)| CoverageRow {
+            transition: t.label(),
+            hits: *h,
+        })
         .collect();
     let uncovered: Vec<&'static str> = coverage
         .iter()
@@ -442,7 +452,11 @@ pub fn render_conformance(r: &ConformanceReport) -> String {
     out.push_str(&format!(
         "legs: virtual-time oracle vs nio-handoff vs nio-sharded vs poolserver\n\
          corpus: {}\n\n",
-        if r.corpus.is_empty() { "(none)".to_string() } else { r.corpus.join(", ") }
+        if r.corpus.is_empty() {
+            "(none)".to_string()
+        } else {
+            r.corpus.join(", ")
+        }
     ));
     out.push_str("### Transition coverage\n\n");
     out.push_str("| transition | sequences |\n|---|---|\n");
@@ -473,4 +487,3 @@ pub fn render_conformance(r: &ConformanceReport) -> String {
     }
     out
 }
-

@@ -119,10 +119,7 @@ impl Figure {
             ("id", self.id.into()),
             ("title", self.title.as_str().into()),
             ("metric", self.metric.label().into()),
-            (
-                "loads",
-                Json::nums(self.loads.iter().map(|&l| l as f64)),
-            ),
+            ("loads", Json::nums(self.loads.iter().map(|&l| l as f64))),
             (
                 "series",
                 Json::Array(
@@ -185,10 +182,7 @@ bandwidth_mb_s,stability_cv,sessions_completed,sessions_aborted,cpu_utilisation\
     /// the exact view). Time metrics use a log y-axis — their interesting
     /// region spans decades.
     pub fn render_chart(&self) -> String {
-        let log_y = matches!(
-            self.metric,
-            Metric::ResponseMs | Metric::ConnectMs
-        );
+        let log_y = matches!(self.metric, Metric::ResponseMs | Metric::ConnectMs);
         let series: Vec<metrics::ChartSeries> = self
             .series
             .iter()

@@ -13,8 +13,7 @@ use crate::catalog::{LinkSetup, Scale, BEST_SMP_NIO, BEST_UP_HTTPD, BEST_UP_NIO}
 use obs::export::ExportMeta;
 use obs::gauge::GaugeKind;
 use obs::report::{
-    anomaly_notes, drop_counters_section, end_reason_table, gauge_timeline, hist_table,
-    stage_table,
+    anomaly_notes, drop_counters_section, end_reason_table, gauge_timeline, hist_table, stage_table,
 };
 use obs::ObsConfig;
 use serversim::{run, ServerArch, Testbed, TestbedConfig};
@@ -218,7 +217,11 @@ mod tests {
         let first = jsonl.lines().next().unwrap();
         assert!(first.contains(r#""type":"meta""#));
         assert!(first.contains(r#""source":"sim""#));
-        assert!(jsonl.lines().last().unwrap().contains(r#""type":"counters""#));
+        assert!(jsonl
+            .lines()
+            .last()
+            .unwrap()
+            .contains(r#""type":"counters""#));
     }
 
     #[test]

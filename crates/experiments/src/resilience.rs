@@ -307,7 +307,10 @@ fn run_survival(files: &FileSet, smoke: bool) -> Vec<ResilienceRun> {
                     ends,
                 };
                 let good = run.goodput_ratio() >= GOODPUT_FLOOR;
-                if best.as_ref().is_none_or(|b| run.goodput_ratio() > b.goodput_ratio()) {
+                if best
+                    .as_ref()
+                    .is_none_or(|b| run.goodput_ratio() > b.goodput_ratio())
+                {
                     best = Some(run);
                 }
                 if good {
@@ -394,7 +397,11 @@ pub fn run_resilience(smoke: bool) -> ResilienceReport {
     let sweep = run_sweep(&files, smoke);
     let mut checks = goodput_checks(&runs);
     checks.extend(count_checks(&runs, &sweep));
-    ResilienceReport { runs, sweep, checks }
+    ResilienceReport {
+        runs,
+        sweep,
+        checks,
+    }
 }
 
 /// The wall-clock bar: attacked goodput at or above [`GOODPUT_FLOOR`] of
@@ -455,7 +462,10 @@ fn count_checks(runs: &[ResilienceRun], sweep: &[PolicyRun]) -> Vec<Check> {
             ));
         }
         out.push(Check::new(
-            &format!("{}/{}: fds stay below the reserve watermark", r.arch, r.attack),
+            &format!(
+                "{}/{}: fds stay below the reserve watermark",
+                r.arch, r.attack
+            ),
             r.peak_fds + hardened().fd_reserve < fd_limit,
             format!("peak {} fds, limit {}", r.peak_fds, fd_limit),
         ));

@@ -367,11 +367,7 @@ fn live_ramp(smoke: bool, arch: &str, socket_buffers: Option<(u32, u32)>) -> Sca
 /// far longer than the horizon, so the run ends with ~all of them open.
 fn sim_scale_config(conns: u32, seed: u64) -> TestbedConfig {
     let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-    let mut cfg = TestbedConfig::paper_default(
-        ServerArch::EventDriven { workers: 2 },
-        4,
-        link,
-    );
+    let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 2 }, 4, link);
     // Spread the SYN flood over many cables so flow bookkeeping, not the
     // population, stays the bottleneck.
     cfg.links = vec![LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100)); 32];
@@ -419,8 +415,7 @@ fn sim_scale_config(conns: u32, seed: u64) -> TestbedConfig {
 /// flowing.
 fn sim_refusal_leg() -> (bool, bool) {
     let link = LinkConfig::from_mbit(100.0, SimDuration::from_micros(100));
-    let mut cfg =
-        TestbedConfig::paper_default(ServerArch::EventDriven { workers: 2 }, 1, link);
+    let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 2 }, 1, link);
     cfg.num_clients = 2000;
     cfg.backlog = 16;
     cfg.admission.refuse_on_full = true;
@@ -527,11 +522,7 @@ pub fn render_scale(report: &ScaleReport) -> String {
             .iter()
             .map(|p| format!("{}:{}k", p.conns, p.rss_bytes / 1024))
             .collect();
-        out.push_str(&format!(
-            "{} — conns:rssΔ [{}]\n",
-            c.key(),
-            pts.join(" ")
-        ));
+        out.push_str(&format!("{} — conns:rssΔ [{}]\n", c.key(), pts.join(" ")));
     }
     out
 }
@@ -572,26 +563,19 @@ pub fn scale_to_json(report: &ScaleReport) -> Json {
                                 ),
                             ),
                             ("sustained_conns", Json::Num(c.sustained_conns as f64)),
-                            (
-                                "mem_per_conn_bytes",
-                                Json::Num(c.mem_per_conn_bytes),
-                            ),
+                            ("mem_per_conn_bytes", Json::Num(c.mem_per_conn_bytes)),
                             ("fd_watermark", Json::Num(c.fd_watermark as f64)),
                             ("refusal_seen", Json::Bool(c.refusal_seen)),
                             (
                                 "socket_buffers",
                                 match c.socket_buffers {
-                                    Some((r, w)) => Json::Array(vec![
-                                        Json::Num(r as f64),
-                                        Json::Num(w as f64),
-                                    ]),
+                                    Some((r, w)) => {
+                                        Json::Array(vec![Json::Num(r as f64), Json::Num(w as f64)])
+                                    }
                                     None => Json::Null,
                                 },
                             ),
-                            (
-                                "alive_after_refusal",
-                                Json::Bool(c.alive_after_refusal),
-                            ),
+                            ("alive_after_refusal", Json::Bool(c.alive_after_refusal)),
                         ])
                     })
                     .collect(),
@@ -631,13 +615,11 @@ pub fn parse_scale_json(text: &str) -> Result<ScaleReport, String> {
         {
             let triple = p.as_array().ok_or("point must be [conns, rss, fds]")?;
             match triple {
-                [Json::Num(c), Json::Num(r), Json::Num(f)] => {
-                    points.push(ScalePoint {
-                        conns: *c as u64,
-                        rss_bytes: *r as u64,
-                        fds: *f as u64,
-                    })
-                }
+                [Json::Num(c), Json::Num(r), Json::Num(f)] => points.push(ScalePoint {
+                    conns: *c as u64,
+                    rss_bytes: *r as u64,
+                    fds: *f as u64,
+                }),
                 _ => return Err("point must be [conns, rss, fds] numbers".to_string()),
             }
         }
@@ -701,8 +683,7 @@ pub fn scale_checks(baseline: &ScaleReport, current: &ScaleReport) -> Vec<Check>
             ));
             continue;
         };
-        let ceiling =
-            base.mem_per_conn_bytes * MEM_PER_CONN_TOLERANCE + MEM_PER_CONN_SLACK_BYTES;
+        let ceiling = base.mem_per_conn_bytes * MEM_PER_CONN_TOLERANCE + MEM_PER_CONN_SLACK_BYTES;
         checks.push(Check::new(
             "scale: memory per connection within tolerance",
             cur.mem_per_conn_bytes <= ceiling,

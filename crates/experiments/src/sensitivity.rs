@@ -194,7 +194,10 @@ mod tests {
             ..CpuCosts::default()
         };
         let (c1, c2, c3) = test_conclusions(&costs);
-        assert!(c1 && c2 && c3, "slow JVM flipped a conclusion: {c1} {c2} {c3}");
+        assert!(
+            c1 && c2 && c3,
+            "slow JVM flipped a conclusion: {c1} {c2} {c3}"
+        );
     }
 
     #[test]

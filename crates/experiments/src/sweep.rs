@@ -54,8 +54,7 @@ mod tests {
 
     fn tiny(clients: u32, seed: u64) -> TestbedConfig {
         let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-        let mut cfg =
-            TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
+        let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
         cfg.num_clients = clients;
         cfg.duration = SimDuration::from_secs(10);
         cfg.warmup = SimDuration::from_secs(3);

@@ -42,9 +42,7 @@ impl BestConfigTable {
 
     fn title(self) -> &'static str {
         match self {
-            BestConfigTable::Uniprocessor => {
-                "T1 (§4.1): best configurations on a uniprocessor"
-            }
+            BestConfigTable::Uniprocessor => "T1 (§4.1): best configurations on a uniprocessor",
             BestConfigTable::Smp => "T2 (§5.1): best configurations on 4-way SMP",
         }
     }
@@ -103,7 +101,12 @@ pub fn best_config_table(
             fnum(r.resets_per_s_at_peak, 2),
         ]);
     }
-    let rendered = format!("## {} — {}\n\n{}", which.id(), which.title(), table.render());
+    let rendered = format!(
+        "## {} — {}\n\n{}",
+        which.id(),
+        which.title(),
+        table.render()
+    );
     (rows, rendered)
 }
 

@@ -160,7 +160,13 @@ mod tests {
         );
         let probe = Probe::default();
         let outcome = run_plan(&plan, &probe, 1.0);
-        assert_eq!(outcome, PlanOutcome { applied: 2, skipped: 1 });
+        assert_eq!(
+            outcome,
+            PlanOutcome {
+                applied: 2,
+                skipped: 1
+            }
+        );
         assert!(!probe.stalled.load(Ordering::SeqCst), "stall must end");
         assert_eq!(probe.stall_edges.load(Ordering::SeqCst), 2);
         assert_eq!(probe.crashes.load(Ordering::SeqCst), 2, "half of 4 workers");

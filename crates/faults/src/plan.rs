@@ -158,7 +158,11 @@ impl FaultPlan {
 
     /// Latest end time across all events (ns).
     pub fn horizon_ns(&self) -> u64 {
-        self.events.iter().map(FaultEvent::end_ns).max().unwrap_or(0)
+        self.events
+            .iter()
+            .map(FaultEvent::end_ns)
+            .max()
+            .unwrap_or(0)
     }
 
     /// Check the plan is executable against a testbed with `num_links`
@@ -177,17 +181,17 @@ impl FaultPlan {
                 }
             }
             match e.kind {
-                FaultKind::LinkDegrade { capacity_factor, .. }
-                    if !(capacity_factor > 0.0 && capacity_factor < 1.0) =>
-                {
+                FaultKind::LinkDegrade {
+                    capacity_factor, ..
+                } if !(capacity_factor > 0.0 && capacity_factor < 1.0) => {
                     return Err(format!(
                         "event {i}: capacity_factor {capacity_factor} not in (0, 1)"
                     ));
                 }
-                FaultKind::WorkerCrash { fraction, .. }
-                    if !(fraction > 0.0 && fraction <= 1.0) =>
-                {
-                    return Err(format!("event {i}: crash fraction {fraction} not in (0, 1]"));
+                FaultKind::WorkerCrash { fraction, .. } if !(fraction > 0.0 && fraction <= 1.0) => {
+                    return Err(format!(
+                        "event {i}: crash fraction {fraction} not in (0, 1]"
+                    ));
                 }
                 FaultKind::SlowLoris { clients: 0 } | FaultKind::NeverReads { clients: 0 } => {
                     return Err(format!("event {i}: zero afflicted clients is a no-op"));

@@ -135,8 +135,8 @@ impl CpuCosts {
         workers: usize,
         cpus: usize,
     ) -> SplitService {
-        let work =
-            self.base_work(reply_bytes) * self.jvm_factor + self.selector_overhead.as_nanos() as f64;
+        let work = self.base_work(reply_bytes) * self.jvm_factor
+            + self.selector_overhead.as_nanos() as f64;
         let smp = self.smp_multiplier(cpus);
         let w1 = workers.saturating_sub(1) as f64;
         let sync = 1.0 + self.worker_sync_lin * w1 + self.worker_sync_quad * w1 * w1;
@@ -182,8 +182,7 @@ impl CpuCosts {
     ) -> f64 {
         let s = self.staged_request_service(mean_reply_bytes as u64, cpus);
         let machine = cpus as f64 / s.total().as_secs_f64();
-        let parse_lane =
-            (parse_threads.min(cpus)) as f64 / s.worker.as_secs_f64().max(1e-12);
+        let parse_lane = (parse_threads.min(cpus)) as f64 / s.worker.as_secs_f64().max(1e-12);
         let send_lane = (send_threads.min(cpus)) as f64 / s.kernel.as_secs_f64().max(1e-12);
         machine.min(parse_lane).min(send_lane)
     }
@@ -191,8 +190,7 @@ impl CpuCosts {
     /// Accept cost on the threaded server (runs on a pool thread).
     pub fn threaded_accept_service(&self, pool_size: usize, cpus: usize) -> SimDuration {
         let pool_inflation = 1.0 + self.pool_mgmt_per_thousand * pool_size as f64 / 1000.0;
-        let nanos =
-            self.accept.as_nanos() as f64 * pool_inflation * self.smp_multiplier(cpus);
+        let nanos = self.accept.as_nanos() as f64 * pool_inflation * self.smp_multiplier(cpus);
         SimDuration::from_nanos(nanos as u64)
     }
 

@@ -54,7 +54,11 @@ impl ReadBuf {
     /// Mark `n` unconsumed bytes as consumed (panics if n > len: consuming
     /// bytes that never arrived is a parser bug).
     pub fn consume(&mut self, n: usize) {
-        assert!(n <= self.len(), "consume({n}) beyond buffer ({})", self.len());
+        assert!(
+            n <= self.len(),
+            "consume({n}) beyond buffer ({})",
+            self.len()
+        );
         self.start += n;
         if self.start == self.data.len() {
             self.data.clear();

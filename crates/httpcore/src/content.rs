@@ -52,7 +52,9 @@ impl ContentStore {
         let sizes: Vec<u64> = files.iter().map(|(_, s)| s).collect();
         let max = sizes.iter().copied().max().unwrap_or(0) as usize;
         // Deterministic, compressible-but-not-trivial filler.
-        let arena: Vec<u8> = (0..max).map(|i| (i as u8).wrapping_mul(31).wrapping_add(7)).collect();
+        let arena: Vec<u8> = (0..max)
+            .map(|i| (i as u8).wrapping_mul(31).wrapping_add(7))
+            .collect();
         let last_modified = (0..sizes.len())
             .map(|i| crate::date::http_date(lm_unix(i as u32)))
             .collect();

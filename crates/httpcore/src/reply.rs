@@ -166,7 +166,11 @@ impl ReplyQueue {
         for seg in self.segs.iter().take(MAX_IOVECS) {
             let bytes = seg.as_bytes();
             // The cursor only ever rests inside the front segment.
-            let bytes = if n == 0 { &bytes[self.front_pos..] } else { bytes };
+            let bytes = if n == 0 {
+                &bytes[self.front_pos..]
+            } else {
+                bytes
+            };
             iov[n] = IoSlice::new(bytes);
             n += 1;
         }

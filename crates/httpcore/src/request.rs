@@ -479,8 +479,7 @@ mod tests {
             panic!()
         };
         assert!(r.keep_alive());
-        let ParseOutcome::Complete(r) =
-            parse_one(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
+        let ParseOutcome::Complete(r) = parse_one(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n")
         else {
             panic!()
         };

@@ -171,9 +171,7 @@ pub fn parse_response_head(data: &[u8]) -> Option<Result<ResponseHead, &'static 
             return Some(Err("bad header"));
         };
         let name = &line[..colon];
-        let value = std::str::from_utf8(&line[colon + 1..])
-            .unwrap_or("")
-            .trim();
+        let value = std::str::from_utf8(&line[colon + 1..]).unwrap_or("").trim();
         if name.eq_ignore_ascii_case(b"content-length") {
             match value.parse::<usize>() {
                 Ok(n) => content_length = Some(n),

@@ -3,8 +3,8 @@
 //! through the client-side parser.
 
 use httpcore::{
-    parse_response_head, write_head, ParseError, ParseOutcome, ParserLimits, RequestParser,
-    Status, Version,
+    parse_response_head, write_head, ParseError, ParseOutcome, ParserLimits, RequestParser, Status,
+    Version,
 };
 use proptest::prelude::*;
 

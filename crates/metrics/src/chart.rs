@@ -37,11 +37,7 @@ impl Default for ChartConfig {
 const GLYPHS: [char; 8] = ['o', '*', '+', 'x', '#', '@', '%', '&'];
 
 /// Render series over shared x labels into a boxed ASCII chart.
-pub fn render_chart(
-    x_labels: &[u32],
-    series: &[ChartSeries],
-    cfg: &ChartConfig,
-) -> String {
+pub fn render_chart(x_labels: &[u32], series: &[ChartSeries], cfg: &ChartConfig) -> String {
     assert!(!series.is_empty(), "chart with no series");
     assert!(cfg.width >= 8 && cfg.height >= 4, "chart too small");
     let n = x_labels.len();
@@ -146,12 +142,7 @@ pub fn render_chart(
             line.iter().collect::<String>()
         );
     }
-    let _ = writeln!(
-        out,
-        "{:>gutter$} +{}",
-        "",
-        "-".repeat(cfg.width)
-    );
+    let _ = writeln!(out, "{:>gutter$} +{}", "", "-".repeat(cfg.width));
     let first = x_labels.first().copied().unwrap_or(0).to_string();
     let last = x_labels.last().copied().unwrap_or(0).to_string();
     let pad = cfg.width.saturating_sub(first.len() + last.len());
@@ -196,10 +187,7 @@ mod tests {
     fn two_series_use_distinct_glyphs() {
         let s = render_chart(
             &[1, 2],
-            &[
-                series("a", vec![1.0, 2.0]),
-                series("b", vec![2.0, 1.0]),
-            ],
+            &[series("a", vec![1.0, 2.0]), series("b", vec![2.0, 1.0])],
             &ChartConfig::default(),
         );
         assert!(s.contains('o') && s.contains('*'));

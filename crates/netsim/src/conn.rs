@@ -98,15 +98,13 @@ impl Connection {
     /// True when the *client* sending now would observe a reset: the server
     /// closed its end while the client never did.
     pub fn send_would_reset(&self) -> bool {
-        matches!(
-            self.state,
-            ConnState::Closed(CloseKind::ServerIdleTimeout)
-        )
+        matches!(self.state, ConnState::Closed(CloseKind::ServerIdleTimeout))
     }
 
     /// Connection-establishment latency, once established.
     pub fn connect_time(&self) -> Option<desim::SimDuration> {
-        self.established_at.map(|t| t.saturating_since(self.opened_at))
+        self.established_at
+            .map(|t| t.saturating_since(self.opened_at))
     }
 }
 

@@ -278,7 +278,7 @@ mod tests {
         let mut l = link(100.0); // 12.5 MB/s
         l.start_flow(SimTime::ZERO, FlowId(1), 25_000_000.0); // 25 MB
         l.start_flow(SimTime::ZERO, FlowId(2), 2_500_000.0); // 2.5 MB
-        // Shared: each at 6.25 MB/s. Flow 2 needs 0.4 s.
+                                                             // Shared: each at 6.25 MB/s. Flow 2 needs 0.4 s.
         let (d2, id2) = l.next_completion(SimTime::ZERO).unwrap();
         assert_eq!(id2, FlowId(2));
         assert!((d2.as_secs_f64() - 0.4).abs() < 1e-6);
@@ -286,14 +286,18 @@ mod tests {
         // Flow 1 has 25 - 2.5 = 22.5 MB left, now alone at 12.5 MB/s: 1.8 s.
         let (d1, id1) = l.next_completion(d2).unwrap();
         assert_eq!(id1, FlowId(1));
-        assert!((d1.as_secs_f64() - 2.2).abs() < 1e-5, "{}", d1.as_secs_f64());
+        assert!(
+            (d1.as_secs_f64() - 2.2).abs() < 1e-5,
+            "{}",
+            d1.as_secs_f64()
+        );
     }
 
     #[test]
     fn late_join_shares_from_join_time() {
         let mut l = link(100.0);
         l.start_flow(SimTime::ZERO, FlowId(1), 12_500_000.0); // alone: 1s
-        // At 0.5 s flow 1 has 6.25 MB left; flow 2 joins with 6.25 MB.
+                                                              // At 0.5 s flow 1 has 6.25 MB left; flow 2 joins with 6.25 MB.
         l.start_flow(t_ms(500), FlowId(2), 6_250_000.0);
         // Both finish together at 0.5 + (6.25+6.25)/12.5 = 1.5 s.
         let (d, _) = l.next_completion(t_ms(500)).unwrap();

@@ -50,8 +50,8 @@ use connslab::{Handle, Slab};
 use faults::DrainReport;
 use httpcore::sys::{bind_reuseport, nofile_limits, set_linger_zero, set_rcvbuf, set_sndbuf};
 use httpcore::{
-    AcceptBackoff, Admission, ContentStore, DateCache, HeadPool, LifecyclePolicy, Next,
-    ReplyQueue, RequestPool, Session, Status, Version,
+    AcceptBackoff, Admission, ContentStore, DateCache, HeadPool, LifecyclePolicy, Next, ReplyQueue,
+    RequestPool, Session, Status, Version,
 };
 use obs::{EndCause, GaugeKind, LiveEnds, LiveGauges, ShardCell, ShardGauges, Stage, StageHists};
 use parking_lot::Mutex;
@@ -1155,9 +1155,7 @@ fn worker_loop(
                 // (or output first becoming pending) — read activity from
                 // a never-draining peer must not reset it.
                 conn.last_activity_ns = now_ns;
-                if conn.bytes_flushed != flushed_before
-                    || (!had_output && conn.wants_write())
-                {
+                if conn.bytes_flushed != flushed_before || (!had_output && conn.wants_write()) {
                     conn.last_write_progress_ns = now_ns;
                 }
                 if conn.session.buffered() > 0 {
@@ -1495,7 +1493,11 @@ mod tests {
     fn get(addr: SocketAddr, path: &str) -> (u16, Vec<u8>) {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+        write!(
+            s,
+            "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut buf = Vec::new();
         s.read_to_end(&mut buf).unwrap();
         let head = httpcore::parse_response_head(&buf).unwrap().unwrap();
@@ -2129,7 +2131,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(10));
             shards.snapshot().iter().all(|s| s.open == 0)
         });
-        assert!(open_ok, "shard occupancy never drained: {:?}", shards.snapshot());
+        assert!(
+            open_ok,
+            "shard occupancy never drained: {:?}",
+            shards.snapshot()
+        );
         server.shutdown();
     }
 
@@ -2145,7 +2151,11 @@ mod tests {
         assert!(s.read(&mut tmp).unwrap() > 0);
         std::thread::sleep(Duration::from_millis(700));
         // Still alive: a second request on the same connection succeeds.
-        write!(s, "GET /f/1 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+        write!(
+            s,
+            "GET /f/1 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut buf = Vec::new();
         s.read_to_end(&mut buf).unwrap();
         let head = httpcore::parse_response_head(&buf).unwrap().unwrap();
@@ -2217,7 +2227,11 @@ mod tests {
                     .expect("valid head");
                 assert_eq!(head.status, 200, "{backend:?} reply {id}");
                 let body = &buf[off + head.head_len..off + head.head_len + head.content_length];
-                assert_eq!(body, content.body(workload::FileId(id)), "{backend:?} reply {id}");
+                assert_eq!(
+                    body,
+                    content.body(workload::FileId(id)),
+                    "{backend:?} reply {id}"
+                );
                 off += head.head_len + head.content_length;
             }
             assert_eq!(off, buf.len(), "{backend:?}: trailing bytes");
@@ -2283,7 +2297,11 @@ mod tests {
             let mut tmp = [0u8; 65536];
             let dead = matches!(s.read(&mut tmp), Ok(0) | Err(_));
             assert!(dead, "{backend:?}: idle connection must be reclaimed");
-            assert_eq!(server.ends().get(obs::EndCause::IdleTimeout), 1, "{backend:?}");
+            assert_eq!(
+                server.ends().get(obs::EndCause::IdleTimeout),
+                1,
+                "{backend:?}"
+            );
             server.shutdown();
         }
     }

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use desim::Rng;
 use httpcore::ContentStore;
-use nioserver::{NioConfig, NioServer, BackendKind};
+use nioserver::{BackendKind, NioConfig, NioServer};
 use workload::{FileSet, SurgeConfig};
 
 struct CountingAlloc;
@@ -70,7 +70,13 @@ fn content() -> Arc<ContentStore> {
 
 /// Send `n` identical keep-alive requests serially and read each full
 /// response, using only the preallocated buffers. Returns total bytes read.
-fn run_burst(stream: &mut TcpStream, req: &[u8], resp_len: usize, buf: &mut [u8], n: usize) -> usize {
+fn run_burst(
+    stream: &mut TcpStream,
+    req: &[u8],
+    resp_len: usize,
+    buf: &mut [u8],
+    n: usize,
+) -> usize {
     let mut total = 0usize;
     for _ in 0..n {
         stream.write_all(req).expect("write request");
@@ -110,7 +116,10 @@ fn steady_state_request_loop_allocates_nothing() {
     let resp_len = stream.read(&mut buf).expect("read probe");
     assert!(resp_len > 0);
     let head = std::str::from_utf8(&buf[..resp_len.min(64)]).expect("utf8 head");
-    assert!(head.starts_with("HTTP/1.1 200 OK"), "probe response: {head:?}");
+    assert!(
+        head.starts_with("HTTP/1.1 200 OK"),
+        "probe response: {head:?}"
+    );
 
     // Warmup: fault in every recycled buffer on both sides of the socket
     // (parser scratch, head pool, read accumulation, reply ring, event

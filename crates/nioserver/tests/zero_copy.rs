@@ -6,7 +6,7 @@
 
 use desim::Rng;
 use httpcore::{write_head, write_head_full, ContentStore, Status, Version};
-use nioserver::{NioConfig, NioServer, BackendKind};
+use nioserver::{BackendKind, NioConfig, NioServer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -83,7 +83,14 @@ fn reference(
             );
         }
         None => {
-            write_head(&mut out, Version::Http11, status, content_length, keep, date);
+            write_head(
+                &mut out,
+                Version::Http11,
+                status,
+                content_length,
+                keep,
+                date,
+            );
         }
     }
     out.extend_from_slice(body);
@@ -192,7 +199,14 @@ fn pipelined_burst_matches_copying_path_byte_for_byte() {
             let lm = content.last_modified(FileId(id));
             let keep = id != 4;
             expect.clear();
-            expect.extend(reference(Status::Ok, body.len(), keep, &date, Some(lm), body));
+            expect.extend(reference(
+                Status::Ok,
+                body.len(),
+                keep,
+                &date,
+                Some(lm),
+                body,
+            ));
             let got = &raw[off..off + head.head_len + head.content_length];
             assert_eq!(got, &expect[..], "{sel:?} reply {id}");
             off += head.head_len + head.content_length;

@@ -187,11 +187,9 @@ impl LiveGauges {
     /// Saturating decrement: never wraps below zero.
     #[inline]
     pub fn sub(&self, kind: GaugeKind, delta: u64) {
-        let _ = self.values[kind.index()].fetch_update(
-            Ordering::Relaxed,
-            Ordering::Relaxed,
-            |v| Some(v.saturating_sub(delta)),
-        );
+        let _ = self.values[kind.index()].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+            Some(v.saturating_sub(delta))
+        });
     }
 
     #[inline]
@@ -337,7 +335,10 @@ impl ShardGauges {
     /// counter handle. Shard ids are assigned in registration order.
     pub fn register_shard(&self) -> std::sync::Arc<ShardCell> {
         let cell = std::sync::Arc::new(ShardCell::default());
-        self.cells.lock().unwrap().push(std::sync::Arc::clone(&cell));
+        self.cells
+            .lock()
+            .unwrap()
+            .push(std::sync::Arc::clone(&cell));
         cell
     }
 
@@ -364,7 +365,12 @@ impl ShardGauges {
     /// total accepted counter (the shard-balance regression test's
     /// conservation law).
     pub fn total_accepted(&self) -> u64 {
-        self.cells.lock().unwrap().iter().map(|c| c.accepted()).sum()
+        self.cells
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|c| c.accepted())
+            .sum()
     }
 
     /// Max/min lifetime-accepted ratio across shards that accepted anything;

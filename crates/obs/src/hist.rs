@@ -36,7 +36,10 @@ impl Default for StageHists {
 impl StageHists {
     pub fn new() -> Self {
         StageHists {
-            stages: Stage::ALL.iter().map(|_| Histogram::default_precision()).collect(),
+            stages: Stage::ALL
+                .iter()
+                .map(|_| Histogram::default_precision())
+                .collect(),
             total: Histogram::default_precision(),
         }
     }

@@ -85,8 +85,7 @@ impl SpanLog {
 
     /// Fold spans into per-stage (total_ns, count) sums.
     pub fn totals(&self) -> Vec<(Stage, u64, u64)> {
-        let mut acc: Vec<(Stage, u64, u64)> =
-            Stage::ALL.iter().map(|&s| (s, 0u64, 0u64)).collect();
+        let mut acc: Vec<(Stage, u64, u64)> = Stage::ALL.iter().map(|&s| (s, 0u64, 0u64)).collect();
         for span in &self.spans {
             let slot = acc
                 .iter_mut()
@@ -254,11 +253,7 @@ impl RequestTracker {
         let end_ns = end_ns.max(req.last_ns()).max(start_ns);
         let mut stages = Vec::with_capacity(req.marks.len());
         for (i, &(stage, t)) in req.marks.iter().enumerate() {
-            let next_t = req
-                .marks
-                .get(i + 1)
-                .map(|&(_, t2)| t2)
-                .unwrap_or(end_ns);
+            let next_t = req.marks.get(i + 1).map(|&(_, t2)| t2).unwrap_or(end_ns);
             stages.push((stage, next_t - t));
         }
         RequestBreakdown {
@@ -311,8 +306,7 @@ impl RequestTracker {
     /// Per-stage `(total_ns, count)` over completed requests with the given
     /// end reason filter (`None` = all).
     pub fn stage_totals(&self, end: Option<EndReason>) -> Vec<(Stage, u64, u64)> {
-        let mut acc: Vec<(Stage, u64, u64)> =
-            Stage::ALL.iter().map(|&s| (s, 0u64, 0u64)).collect();
+        let mut acc: Vec<(Stage, u64, u64)> = Stage::ALL.iter().map(|&s| (s, 0u64, 0u64)).collect();
         for b in &self.done {
             if end.is_some_and(|e| e != b.end) {
                 continue;
@@ -332,8 +326,7 @@ impl RequestTracker {
 
     /// Count of completed requests per end reason.
     pub fn end_counts(&self) -> Vec<(EndReason, u64)> {
-        let mut acc: Vec<(EndReason, u64)> =
-            EndReason::ALL.iter().map(|&e| (e, 0u64)).collect();
+        let mut acc: Vec<(EndReason, u64)> = EndReason::ALL.iter().map(|&e| (e, 0u64)).collect();
         for b in &self.done {
             acc.iter_mut().find(|(e, _)| *e == b.end).expect("reason").1 += 1;
         }

@@ -158,8 +158,8 @@ pub fn gauge_timeline(log: &GaugeLog, kind: GaugeKind, buckets: usize) -> Option
     let mut sums = vec![0.0f64; buckets];
     let mut counts = vec![0u64; buckets];
     for (&t, &v) in ts.iter().zip(&vs) {
-        let b = (((t - t0) as u128 * buckets as u128 / (span as u128 + 1)) as usize)
-            .min(buckets - 1);
+        let b =
+            (((t - t0) as u128 * buckets as u128 / (span as u128 + 1)) as usize).min(buckets - 1);
         sums[b] += v;
         counts[b] += 1;
     }

@@ -239,7 +239,9 @@ mod tests {
     use super::*;
 
     fn synth(lambda: f64, sigma: f64, kappa: f64, ns: &[f64]) -> Vec<(f64, f64)> {
-        ns.iter().map(|&n| (n, usl(lambda, sigma, kappa, n))).collect()
+        ns.iter()
+            .map(|&n| (n, usl(lambda, sigma, kappa, n)))
+            .collect()
     }
 
     #[test]
@@ -254,8 +256,7 @@ mod tests {
 
     #[test]
     fn knee_matches_analytic_peak() {
-        let fit = fit_usl(&synth(500.0, 0.1, 0.01, &[1.0, 2.0, 4.0, 8.0, 16.0]))
-            .expect("fit");
+        let fit = fit_usl(&synth(500.0, 0.1, 0.01, &[1.0, 2.0, 4.0, 8.0, 16.0])).expect("fit");
         let expect = ((1.0 - 0.1f64) / 0.01).sqrt();
         assert!(
             (fit.peak_n - expect).abs() / expect < 0.1,
@@ -266,7 +267,10 @@ mod tests {
 
     #[test]
     fn linear_curve_fits_zero_coefficients() {
-        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0].iter().map(|&n| (n, 100.0 * n)).collect();
+        let pts: Vec<(f64, f64)> = [1.0, 2.0, 4.0, 8.0]
+            .iter()
+            .map(|&n| (n, 100.0 * n))
+            .collect();
         let fit = fit_usl(&pts).expect("fit");
         assert!(fit.sigma < 0.01, "sigma {}", fit.sigma);
         assert!(fit.kappa < 0.001, "kappa {}", fit.kappa);
@@ -286,8 +290,8 @@ mod tests {
 
     #[test]
     fn jackknife_se_small_on_clean_data() {
-        let fit = fit_usl(&synth(800.0, 0.15, 0.004, &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0]))
-            .expect("fit");
+        let fit =
+            fit_usl(&synth(800.0, 0.15, 0.004, &[1.0, 2.0, 3.0, 4.0, 6.0, 8.0])).expect("fit");
         assert!(fit.se_sigma.is_finite());
         assert!(fit.se_sigma < 0.02, "se_sigma {}", fit.se_sigma);
         assert!(fit.se_kappa < 0.002, "se_kappa {}", fit.se_kappa);
@@ -303,8 +307,7 @@ mod tests {
     #[test]
     fn retrograde_curve_classified_coherency_limited() {
         // Heavy crosstalk: throughput falls past N=4.
-        let fit = fit_usl(&synth(200.0, 0.02, 0.06, &[1.0, 2.0, 4.0, 8.0, 16.0]))
-            .expect("fit");
+        let fit = fit_usl(&synth(200.0, 0.02, 0.06, &[1.0, 2.0, 4.0, 8.0, 16.0])).expect("fit");
         assert_eq!(fit.regime(), "coherency-limited");
         assert!(fit.peak_n < 8.0, "peak {}", fit.peak_n);
     }

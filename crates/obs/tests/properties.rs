@@ -19,7 +19,10 @@ use proptest::prelude::*;
 
 /// Check every breakdown invariant on one completed request.
 fn assert_breakdown_invariants(b: &obs::RequestBreakdown) {
-    assert!(b.end_ns >= b.start_ns, "request ends before it starts: {b:?}");
+    assert!(
+        b.end_ns >= b.start_ns,
+        "request ends before it starts: {b:?}"
+    );
     // Telescoping sum: stages partition [start, end] exactly.
     assert_eq!(
         b.stage_sum_ns(),
@@ -31,7 +34,10 @@ fn assert_breakdown_invariants(b: &obs::RequestBreakdown) {
     let mut cursor = b.start_ns;
     for &(_, d) in &b.stages {
         let next = cursor.checked_add(d).expect("no overflow");
-        assert!(next <= b.end_ns, "stage interval escapes the request: {b:?}");
+        assert!(
+            next <= b.end_ns,
+            "stage interval escapes the request: {b:?}"
+        );
         cursor = next;
     }
     assert_eq!(cursor, b.end_ns, "intervals must tile to the end: {b:?}");

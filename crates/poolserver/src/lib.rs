@@ -659,7 +659,14 @@ fn serve_connection(
                             hists.record(Stage::Parse, p0.elapsed().as_nanos() as u64);
                             in_flight.store(true, Ordering::SeqCst);
                             let sent = respond(
-                                cfg, &mut stream, stats, ends, &req, date, &mut head, hists,
+                                cfg,
+                                &mut stream,
+                                stats,
+                                ends,
+                                &req,
+                                date,
+                                &mut head,
+                                hists,
                             );
                             in_flight.store(false, Ordering::SeqCst);
                             p0 = Instant::now();
@@ -703,8 +710,7 @@ fn serve_connection(
                 }
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 // A buffered partial head means the connection is mid-request,
                 // not idle: the header deadline above governs (and answers 408
@@ -846,7 +852,11 @@ mod tests {
     fn get(addr: SocketAddr, path: &str) -> (u16, Vec<u8>) {
         let mut s = TcpStream::connect(addr).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+        write!(
+            s,
+            "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+        )
+        .unwrap();
         let mut buf = Vec::new();
         s.read_to_end(&mut buf).unwrap();
         let head = httpcore::parse_response_head(&buf).unwrap().unwrap();

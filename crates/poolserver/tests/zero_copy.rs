@@ -55,7 +55,14 @@ fn reference(
             );
         }
         None => {
-            write_head(&mut out, Version::Http11, status, content_length, keep, date);
+            write_head(
+                &mut out,
+                Version::Http11,
+                status,
+                content_length,
+                keep,
+                date,
+            );
         }
     }
     out.extend_from_slice(body);

@@ -88,7 +88,10 @@ pub fn parse_sequence(text: &str) -> Result<Sequence, String> {
             if cur.is_some() {
                 return Err(err("previous episode missing `end`".into()));
             }
-            cur = Some(Episode { ops: Vec::new(), terminal: Terminal::ReadToEnd });
+            cur = Some(Episode {
+                ops: Vec::new(),
+                terminal: Terminal::ReadToEnd,
+            });
             continue;
         }
         let Some(ep) = cur.as_mut() else {
@@ -118,16 +121,20 @@ pub fn parse_sequence(text: &str) -> Result<Sequence, String> {
                 let keep = parse_keep(toks.next().unwrap_or("keep")).map_err(&err)?;
                 Req::Get { file, keep }
             }
-            "head" => Req::Head { file: num("file", toks.next()).map_err(&err)? as u32 },
-            "cond" => {
-                Req::ConditionalGet { file: num("file", toks.next()).map_err(&err)? as u32 }
-            }
-            "notfound" => {
-                Req::NotFound { keep: parse_keep(toks.next().unwrap_or("keep")).map_err(&err)? }
-            }
+            "head" => Req::Head {
+                file: num("file", toks.next()).map_err(&err)? as u32,
+            },
+            "cond" => Req::ConditionalGet {
+                file: num("file", toks.next()).map_err(&err)? as u32,
+            },
+            "notfound" => Req::NotFound {
+                keep: parse_keep(toks.next().unwrap_or("keep")).map_err(&err)?,
+            },
             "malformed" => Req::Malformed,
             "oversized" => Req::Oversized,
-            "partial" => Req::PartialHead { bytes: num("bytes", toks.next()).map_err(&err)? },
+            "partial" => Req::PartialHead {
+                bytes: num("bytes", toks.next()).map_err(&err)?,
+            },
             other => return Err(err(format!("unknown request {other:?}"))),
         };
         let split = match toks.next() {
@@ -165,7 +172,11 @@ mod tests {
     fn ctx() -> ModelCtx {
         let mut rng = Rng::new(41);
         let fs = FileSet::build(
-            &SurgeConfig { num_files: 16, tail_prob: 0.0, ..SurgeConfig::default() },
+            &SurgeConfig {
+                num_files: 16,
+                tail_prob: 0.0,
+                ..SurgeConfig::default()
+            },
             &mut rng,
         );
         ModelCtx::new(
@@ -180,21 +191,29 @@ mod tests {
         for seed in 0..200 {
             let seq = generate(seed, &c);
             let text = serialize_sequence(&seq);
-            let back = parse_sequence(&text)
-                .unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
+            let back = parse_sequence(&text).unwrap_or_else(|e| panic!("seed {seed}: {e}\n{text}"));
             assert_eq!(seq, back, "seed {seed}");
         }
     }
 
     #[test]
     fn parse_rejects_invalid_shapes() {
-        assert!(parse_sequence("get 1 keep\nend read\n").is_err(), "req before episode");
-        assert!(parse_sequence("episode\nget 1 keep\n").is_err(), "missing end");
+        assert!(
+            parse_sequence("get 1 keep\nend read\n").is_err(),
+            "req before episode"
+        );
+        assert!(
+            parse_sequence("episode\nget 1 keep\n").is_err(),
+            "missing end"
+        );
         assert!(
             parse_sequence("episode\nmalformed\nget 1 keep\nend read\n").is_err(),
             "close-op not last"
         );
-        assert!(parse_sequence("episode\nend warp\n").is_err(), "bad terminal");
+        assert!(
+            parse_sequence("episode\nend warp\n").is_err(),
+            "bad terminal"
+        );
         assert!(parse_sequence("").is_err(), "empty");
     }
 

@@ -67,7 +67,11 @@ fn run_episode(
     cfg: &ExecConfig,
 ) -> EpisodeOutcome {
     let Ok(mut stream) = TcpStream::connect(addr) else {
-        return EpisodeOutcome { replies: Vec::new(), end: EndCause::Refused, trailing: 0 };
+        return EpisodeOutcome {
+            replies: Vec::new(),
+            end: EndCause::Refused,
+            trailing: 0,
+        };
     };
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(cfg.read_timeout));
@@ -106,12 +110,20 @@ fn run_episode(
         Terminal::Reset => {
             let _ = set_linger_zero(&stream);
             drop(stream);
-            EpisodeOutcome { replies: Vec::new(), end: EndCause::LocalReset, trailing: 0 }
+            EpisodeOutcome {
+                replies: Vec::new(),
+                end: EndCause::LocalReset,
+                trailing: 0,
+            }
         }
         Terminal::StallThenRead => {
             std::thread::sleep(cfg.stall_wait);
             let end = drain_discard(&mut stream);
-            EpisodeOutcome { replies: Vec::new(), end, trailing: 0 }
+            EpisodeOutcome {
+                replies: Vec::new(),
+                end,
+                trailing: 0,
+            }
         }
         Terminal::HalfCloseThenRead => {
             let _ = stream.shutdown(std::net::Shutdown::Write);
@@ -152,7 +164,11 @@ fn read_replies(stream: &mut TcpStream, head_flags: &[bool]) -> EpisodeOutcome {
         });
         off += h.head_len + body_len;
     }
-    EpisodeOutcome { replies, end, trailing: buf.len() - off }
+    EpisodeOutcome {
+        replies,
+        end,
+        trailing: buf.len() - off,
+    }
 }
 
 /// Read and discard until the connection ends — the tail of a stall

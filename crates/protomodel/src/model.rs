@@ -61,10 +61,14 @@ impl Req {
     pub fn continues(&self) -> bool {
         matches!(
             self,
-            Req::Get { keep: Keep::KeepAlive, .. }
-                | Req::Head { .. }
+            Req::Get {
+                keep: Keep::KeepAlive,
+                ..
+            } | Req::Head { .. }
                 | Req::ConditionalGet { .. }
-                | Req::NotFound { keep: Keep::KeepAlive }
+                | Req::NotFound {
+                    keep: Keep::KeepAlive
+                }
         )
     }
 
@@ -97,10 +101,8 @@ impl Req {
             Req::Head { file } => plain("HEAD", &format!("/f/{file}"), Keep::KeepAlive),
             Req::ConditionalGet { file } => {
                 let lm = ctx.content.last_modified(FileId(file));
-                format!(
-                    "GET /f/{file} HTTP/1.1\r\nHost: m\r\nIf-Modified-Since: {lm}\r\n\r\n"
-                )
-                .into_bytes()
+                format!("GET /f/{file} HTTP/1.1\r\nHost: m\r\nIf-Modified-Since: {lm}\r\n\r\n")
+                    .into_bytes()
             }
             Req::NotFound { keep } => plain("GET", "/nope", keep),
             // `HTTP/9.9` trips `BadVersion`, not a parser limit → 400.
@@ -393,9 +395,7 @@ impl Sequence {
                     return false;
                 }
             }
-            if ep.terminal == Terminal::StallThenRead
-                && !ep.ops.iter().all(|o| o.req.continues())
-            {
+            if ep.terminal == Terminal::StallThenRead && !ep.ops.iter().all(|o| o.req.continues()) {
                 return false;
             }
         }
@@ -425,7 +425,10 @@ fn gen_episode(rng: &mut Rng, ctx: &ModelCtx) -> Episode {
         } else {
             Terminal::HalfCloseThenRead
         };
-        return Episode { ops: vec![], terminal };
+        return Episode {
+            ops: vec![],
+            terminal,
+        };
     }
     if roll < 0.10 {
         // The write-stall shape: enough pipelined copies of the biggest
@@ -433,21 +436,33 @@ fn gen_episode(rng: &mut Rng, ctx: &ModelCtx) -> Episode {
         // draining.
         let ops = (0..ctx.stall_repeats)
             .map(|_| SendOp {
-                req: Req::Get { file: ctx.stall_file, keep: Keep::KeepAlive },
+                req: Req::Get {
+                    file: ctx.stall_file,
+                    keep: Keep::KeepAlive,
+                },
                 split: None,
             })
             .collect();
-        return Episode { ops, terminal: Terminal::StallThenRead };
+        return Episode {
+            ops,
+            terminal: Terminal::StallThenRead,
+        };
     }
     let n_ops = 1 + rng.below(4) as usize;
     let mut ops = Vec::with_capacity(n_ops);
     for _ in 0..n_ops - 1 {
-        ops.push(SendOp { req: gen_continuing(rng, ctx), split: gen_split(rng) });
+        ops.push(SendOp {
+            req: gen_continuing(rng, ctx),
+            split: gen_split(rng),
+        });
     }
     let last = gen_last(rng, ctx);
     let dangling = !last.expects_reply();
     let open_end = last.continues() || dangling;
-    ops.push(SendOp { req: last, split: gen_split(rng) });
+    ops.push(SendOp {
+        req: last,
+        split: gen_split(rng),
+    });
     let terminal = if dangling {
         // A dangling head pins the connection: exercise header expiry,
         // half-close discard, or client abort.
@@ -493,13 +508,18 @@ fn gen_continuing(rng: &mut Rng, ctx: &ModelCtx) -> Req {
     let file = rng.below(ctx.files() as u64) as u32;
     let r = rng.f64();
     if r < 0.60 {
-        Req::Get { file, keep: Keep::KeepAlive }
+        Req::Get {
+            file,
+            keep: Keep::KeepAlive,
+        }
     } else if r < 0.75 {
         Req::Head { file }
     } else if r < 0.85 {
         Req::ConditionalGet { file }
     } else {
-        Req::NotFound { keep: Keep::KeepAlive }
+        Req::NotFound {
+            keep: Keep::KeepAlive,
+        }
     }
 }
 
@@ -509,15 +529,23 @@ fn gen_last(rng: &mut Rng, ctx: &ModelCtx) -> Req {
     if r < 0.45 {
         gen_continuing(rng, ctx)
     } else if r < 0.60 {
-        Req::Get { file, keep: Keep::Close }
+        Req::Get {
+            file,
+            keep: Keep::Close,
+        }
     } else if r < 0.70 {
-        Req::Get { file, keep: Keep::Http10 }
+        Req::Get {
+            file,
+            keep: Keep::Http10,
+        }
     } else if r < 0.78 {
         Req::Malformed
     } else if r < 0.85 {
         Req::Oversized
     } else {
-        Req::PartialHead { bytes: rng.range_inclusive(4, 30) as usize }
+        Req::PartialHead {
+            bytes: rng.range_inclusive(4, 30) as usize,
+        }
     }
 }
 
@@ -529,7 +557,11 @@ mod tests {
     fn ctx() -> ModelCtx {
         let mut rng = Rng::new(41);
         let fs = FileSet::build(
-            &SurgeConfig { num_files: 16, tail_prob: 0.0, ..SurgeConfig::default() },
+            &SurgeConfig {
+                num_files: 16,
+                tail_prob: 0.0,
+                ..SurgeConfig::default()
+            },
             &mut rng,
         );
         ModelCtx::new(
@@ -565,7 +597,11 @@ mod tests {
             }
         }
         for t in Transition::ALL {
-            assert!(seen.contains(&t), "transition {} never generated", t.label());
+            assert!(
+                seen.contains(&t),
+                "transition {} never generated",
+                t.label()
+            );
         }
     }
 

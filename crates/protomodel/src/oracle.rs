@@ -45,11 +45,17 @@ pub struct Oracle<'a> {
 
 impl<'a> Oracle<'a> {
     pub fn new(ctx: &'a ModelCtx) -> Oracle<'a> {
-        Oracle { ctx, mutation: None }
+        Oracle {
+            ctx,
+            mutation: None,
+        }
     }
 
     pub fn mutated(ctx: &'a ModelCtx, mutation: Mutation) -> Oracle<'a> {
-        Oracle { ctx, mutation: Some(mutation) }
+        Oracle {
+            ctx,
+            mutation: Some(mutation),
+        }
     }
 
     /// Predict the sequence's observable outcome.
@@ -193,7 +199,12 @@ fn serve_model(req: &httpcore::Request, content: &ContentStore) -> ReplyObs {
 }
 
 fn empty_reply(status: u16) -> ReplyObs {
-    ReplyObs { status, content_length: 0, body_len: 0, body_hash: fnv1a(&[]) }
+    ReplyObs {
+        status,
+        content_length: 0,
+        body_len: 0,
+        body_hash: fnv1a(&[]),
+    }
 }
 
 #[cfg(test)]
@@ -209,7 +220,11 @@ mod tests {
     fn ctx() -> ModelCtx {
         let mut rng = Rng::new(41);
         let fs = FileSet::build(
-            &SurgeConfig { num_files: 16, tail_prob: 0.0, ..SurgeConfig::default() },
+            &SurgeConfig {
+                num_files: 16,
+                tail_prob: 0.0,
+                ..SurgeConfig::default()
+            },
             &mut rng,
         );
         ModelCtx::new(
@@ -223,7 +238,9 @@ mod tests {
     }
 
     fn ep(ops: Vec<SendOp>, terminal: Terminal) -> Sequence {
-        Sequence { episodes: vec![Episode { ops, terminal }] }
+        Sequence {
+            episodes: vec![Episode { ops, terminal }],
+        }
     }
 
     fn op(req: Req) -> SendOp {
@@ -235,8 +252,14 @@ mod tests {
         let c = ctx();
         let seq = ep(
             vec![
-                op(Req::Get { file: 1, keep: Keep::KeepAlive }),
-                op(Req::Get { file: 2, keep: Keep::Close }),
+                op(Req::Get {
+                    file: 1,
+                    keep: Keep::KeepAlive,
+                }),
+                op(Req::Get {
+                    file: 2,
+                    keep: Keep::Close,
+                }),
             ],
             Terminal::ReadToEnd,
         );
@@ -264,13 +287,22 @@ mod tests {
     fn idle_and_stall_predict_resets() {
         let c = ctx();
         let idle = Oracle::new(&c).outcome(&ep(
-            vec![op(Req::Get { file: 0, keep: Keep::KeepAlive })],
+            vec![op(Req::Get {
+                file: 0,
+                keep: Keep::KeepAlive,
+            })],
             Terminal::ReadToEnd,
         ));
         assert_eq!(idle.episodes[0].end, EndCause::Reset);
         assert_eq!(idle.episodes[0].replies.len(), 1);
         let stall = Oracle::new(&c).outcome(&ep(
-            vec![op(Req::Get { file: c.stall_file, keep: Keep::KeepAlive }); 6],
+            vec![
+                op(Req::Get {
+                    file: c.stall_file,
+                    keep: Keep::KeepAlive
+                });
+                6
+            ],
             Terminal::StallThenRead,
         ));
         assert_eq!(stall.episodes[0].end, EndCause::Reset);
@@ -282,8 +314,14 @@ mod tests {
         let c = ctx();
         let pipelined = ep(
             vec![
-                op(Req::Get { file: 1, keep: Keep::KeepAlive }),
-                op(Req::Get { file: 2, keep: Keep::Close }),
+                op(Req::Get {
+                    file: 1,
+                    keep: Keep::KeepAlive,
+                }),
+                op(Req::Get {
+                    file: 2,
+                    keep: Keep::Close,
+                }),
             ],
             Terminal::ReadToEnd,
         );
@@ -298,7 +336,13 @@ mod tests {
         assert_eq!(lax.episodes[0].replies[0].status, 200);
 
         // A single plain GET is blind to both mutations.
-        let single = ep(vec![op(Req::Get { file: 0, keep: Keep::Close })], Terminal::ReadToEnd);
+        let single = ep(
+            vec![op(Req::Get {
+                file: 0,
+                keep: Keep::Close,
+            })],
+            Terminal::ReadToEnd,
+        );
         for m in [Mutation::ReorderPipelined, Mutation::OversizeOffByOne] {
             assert_eq!(
                 Oracle::new(&c).outcome(&single),

@@ -28,10 +28,7 @@ impl fmt::Display for ReplyObs {
         write!(
             f,
             "{} cl={} body={}B#{:08x}",
-            self.status,
-            self.content_length,
-            self.body_len,
-            self.body_hash as u32
+            self.status, self.content_length, self.body_len, self.body_hash as u32
         )
     }
 }
@@ -145,11 +142,22 @@ mod tests {
     use super::*;
 
     fn ok(status: u16, len: usize) -> ReplyObs {
-        ReplyObs { status, content_length: len, body_len: len, body_hash: 1 }
+        ReplyObs {
+            status,
+            content_length: len,
+            body_len: len,
+            body_hash: 1,
+        }
     }
 
     fn seq(replies: Vec<ReplyObs>, end: EndCause) -> SequenceOutcome {
-        SequenceOutcome { episodes: vec![EpisodeOutcome { replies, end, trailing: 0 }] }
+        SequenceOutcome {
+            episodes: vec![EpisodeOutcome {
+                replies,
+                end,
+                trailing: 0,
+            }],
+        }
     }
 
     #[test]
@@ -163,7 +171,10 @@ mod tests {
         let a = seq(vec![ok(200, 3)], EndCause::CleanEof);
         let b = seq(vec![ok(404, 0)], EndCause::CleanEof);
         let d = diff("oracle", &a, "pool", &b).unwrap();
-        assert!(d.contains("reply 0") && d.contains("oracle") && d.contains("pool"), "{d}");
+        assert!(
+            d.contains("reply 0") && d.contains("oracle") && d.contains("pool"),
+            "{d}"
+        );
         let c = seq(vec![ok(200, 3)], EndCause::Reset);
         let d = diff("oracle", &a, "pool", &c).unwrap();
         assert!(d.contains("end cause"), "{d}");

@@ -84,7 +84,13 @@ mod tests {
     use crate::model::{Episode, Keep, Req, SendOp};
 
     fn get(file: u32) -> SendOp {
-        SendOp { req: Req::Get { file, keep: Keep::KeepAlive }, split: Some(5) }
+        SendOp {
+            req: Req::Get {
+                file,
+                keep: Keep::KeepAlive,
+            },
+            split: Some(5),
+        }
     }
 
     #[test]
@@ -92,8 +98,14 @@ mod tests {
         // Divergence "depends" only on the presence of file 7 somewhere.
         let seq = Sequence {
             episodes: vec![
-                Episode { ops: vec![get(1), get(2)], terminal: Terminal::ReadToEnd },
-                Episode { ops: vec![get(3), get(7), get(4)], terminal: Terminal::Reset },
+                Episode {
+                    ops: vec![get(1), get(2)],
+                    terminal: Terminal::ReadToEnd,
+                },
+                Episode {
+                    ops: vec![get(3), get(7), get(4)],
+                    terminal: Terminal::Reset,
+                },
             ],
         };
         let needs_7 = |s: &Sequence| {
@@ -118,7 +130,14 @@ mod tests {
         // ops, so the shrinker stops at 2.
         let seq = Sequence {
             episodes: vec![Episode {
-                ops: vec![get(1), get(2), SendOp { req: Req::Malformed, split: None }],
+                ops: vec![
+                    get(1),
+                    get(2),
+                    SendOp {
+                        req: Req::Malformed,
+                        split: None,
+                    },
+                ],
                 terminal: Terminal::ReadToEnd,
             }],
         };

@@ -354,7 +354,9 @@ mod tests {
             let _client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
             let mut out = Vec::new();
             // Allow a few millis for loopback delivery.
-            let n = s.select(&mut out, Some(Duration::from_millis(500))).unwrap();
+            let n = s
+                .select(&mut out, Some(Duration::from_millis(500)))
+                .unwrap();
             assert_eq!(n, 1, "listener should be readable");
             assert_eq!(out[0].token, Token(7));
             assert!(out[0].readable);
@@ -374,7 +376,9 @@ mod tests {
             let n = s.select(&mut out, Some(Duration::from_millis(20))).unwrap();
             assert_eq!(n, 0, "no data yet");
             client.write_all(b"ping").unwrap();
-            let n = s.select(&mut out, Some(Duration::from_millis(500))).unwrap();
+            let n = s
+                .select(&mut out, Some(Duration::from_millis(500)))
+                .unwrap();
             assert_eq!(n, 1);
             assert!(out[0].readable);
             s.deregister(server_side.as_raw_fd()).unwrap();
@@ -391,7 +395,8 @@ mod tests {
             s.register(client.as_raw_fd(), Token(3), Interest::BOTH)
                 .unwrap();
             let mut out = Vec::new();
-            s.select(&mut out, Some(Duration::from_millis(500))).unwrap();
+            s.select(&mut out, Some(Duration::from_millis(500)))
+                .unwrap();
             assert!(out.iter().any(|e| e.token == Token(3) && e.writable));
         }
     }
@@ -405,7 +410,8 @@ mod tests {
             s.register(client.as_raw_fd(), Token(4), Interest::WRITABLE)
                 .unwrap();
             let mut out = Vec::new();
-            s.select(&mut out, Some(Duration::from_millis(200))).unwrap();
+            s.select(&mut out, Some(Duration::from_millis(200)))
+                .unwrap();
             assert!(!out.is_empty(), "fresh socket is writable");
             // Switch to read-only interest: no data pending ⇒ silent.
             s.reregister(client.as_raw_fd(), Token(4), Interest::READABLE)

@@ -53,8 +53,12 @@ pub struct PollFd {
 extern "C" {
     pub fn epoll_create1(flags: c_int) -> c_int;
     pub fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-    pub fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int)
-        -> c_int;
+    pub fn epoll_wait(
+        epfd: c_int,
+        events: *mut EpollEvent,
+        maxevents: c_int,
+        timeout: c_int,
+    ) -> c_int;
     pub fn poll(fds: *mut PollFd, nfds: u64, timeout: c_int) -> c_int;
     pub fn close(fd: c_int) -> c_int;
 }

@@ -85,17 +85,23 @@ mod tests {
             .unwrap();
         let mut events = Vec::new();
         // Quiet before wake.
-        let n = sel.select(&mut events, Some(Duration::from_millis(10))).unwrap();
+        let n = sel
+            .select(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
         assert_eq!(n, 0);
         waker.wake();
-        let n = sel.select(&mut events, Some(Duration::from_millis(500))).unwrap();
+        let n = sel
+            .select(&mut events, Some(Duration::from_millis(500)))
+            .unwrap();
         assert_eq!(n, 1);
         assert_eq!(events[0].token, Token(0));
         assert!(events[0].readable);
         assert!(waker.drain() >= 1);
         // Drained: quiet again (level-triggered would otherwise re-fire).
         events.clear();
-        let n = sel.select(&mut events, Some(Duration::from_millis(10))).unwrap();
+        let n = sel
+            .select(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
         assert_eq!(n, 0);
     }
 

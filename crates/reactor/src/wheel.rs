@@ -327,7 +327,9 @@ mod tests {
         // Deterministic LCG so the test needs no rng dependency.
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let mut rand = move |below: u64| {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 33) % below
         };
         let mut w = DeadlineWheel::with_resolution(50);
@@ -419,7 +421,11 @@ mod tests {
         let mut w: DeadlineWheel<(u8, u64)> = DeadlineWheel::with_resolution(10);
         w.schedule(500, (1, 0));
         w.schedule(900, (1, 1)); // slide
-        assert_eq!(w.peek_next(), Some(500), "stale entry still bounds the wait");
+        assert_eq!(
+            w.peek_next(),
+            Some(500),
+            "stale entry still bounds the wait"
+        );
         assert_eq!(w.pop_due(600), Some((500, (1, 0)))); // dropped by caller
         assert_eq!(w.peek_next(), Some(900), "live entry remains");
     }

@@ -202,7 +202,10 @@ impl TestbedConfig {
         }
         for &(li, _, _) in &self.link_outages {
             if li >= self.links.len() {
-                return Err(format!("outage references link {li} of {}", self.links.len()));
+                return Err(format!(
+                    "outage references link {li} of {}",
+                    self.links.len()
+                ));
             }
         }
         if let Some(plan) = &self.fault_plan {
@@ -251,11 +254,8 @@ mod tests {
     fn jvm_ceiling_rejects_thread_hungry_java_configs() {
         let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
         // A hypothetical Java thread-per-connection server blows the limit…
-        let mut cfg = TestbedConfig::paper_default(
-            ServerArch::EventDriven { workers: 4096 },
-            1,
-            link,
-        );
+        let mut cfg =
+            TestbedConfig::paper_default(ServerArch::EventDriven { workers: 4096 }, 1, link);
         assert!(cfg.validate().is_err());
         // … the real nio config sails through with 2 threads …
         cfg.server = ServerArch::EventDriven { workers: 1 };
@@ -268,8 +268,7 @@ mod tests {
     #[test]
     fn validate_catches_contradictions() {
         let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-        let mut cfg =
-            TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
+        let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
         cfg.warmup = cfg.duration;
         assert!(cfg.validate().is_err());
         let mut cfg2 =
@@ -281,8 +280,7 @@ mod tests {
     #[test]
     fn validate_checks_fault_plan_and_drain() {
         let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-        let mut cfg =
-            TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
+        let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
         cfg.fault_plan = FaultPlan::named("outage");
         assert!(cfg.validate().is_ok());
         // A plan targeting a missing link is rejected.
@@ -307,7 +305,11 @@ mod tests {
         assert_eq!(ServerArch::EventDriven { workers: 2 }.server_threads(), 3);
         assert_eq!(ServerArch::Threaded { pool: 896 }.server_threads(), 896);
         assert_eq!(
-            ServerArch::Staged { parse_threads: 1, send_threads: 3 }.server_threads(),
+            ServerArch::Staged {
+                parse_threads: 1,
+                send_threads: 3
+            }
+            .server_threads(),
             5
         );
         assert!(ServerArch::EventDriven { workers: 1 }.is_java());

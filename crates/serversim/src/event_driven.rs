@@ -75,7 +75,11 @@ impl EventServer {
 
     fn with_mode(workers: usize, backlog_cap: usize, mode: AcceptMode) -> Self {
         assert!(workers > 0);
-        let shards = if mode == AcceptMode::Sharded { workers } else { 0 };
+        let shards = if mode == AcceptMode::Sharded {
+            workers
+        } else {
+            0
+        };
         EventServer {
             workers,
             backlog_cap,

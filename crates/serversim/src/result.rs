@@ -45,8 +45,7 @@ impl RunResult {
     /// Summarise a finished testbed run.
     pub fn from_testbed(cfg: &TestbedConfig, tb: &Testbed, sim_seconds: f64) -> RunResult {
         let m = &tb.metrics;
-        let measured_secs =
-            (cfg.duration.as_secs_f64() - cfg.warmup.as_secs_f64()).max(1e-9);
+        let measured_secs = (cfg.duration.as_secs_f64() - cfg.warmup.as_secs_f64()).max(1e-9);
         // Skip warm-up windows (plus one cool-down window) in rate series.
         let skip_head = (cfg.warmup.as_secs_f64() / cfg.window().as_secs_f64()).ceil() as usize;
         let throughput = m.replies.steady_rate(skip_head, 1);

@@ -23,11 +23,11 @@ use crate::conntable::ConnTable;
 use crate::event_driven::{AcceptOutcome, EventServer};
 use crate::threaded::{SynOutcome, ThreadedServer};
 use clientsim::{Client, ClientAction, ClientId, ClientMetrics};
-use faults::AcceptMode;
 use desim::{
     Ctx, Engine, EngineStats, EventId, IntMap, Model, Rng, RunOutcome, SimDuration, SimTime, Trace,
     TraceLevel,
 };
+use faults::AcceptMode;
 use hostsim::{Cpu, JobToken, LaneId};
 use netsim::{CloseKind, ConnId, Connection, FlowId, PsLink};
 use obs::{EndReason, GaugeKind, Obs, Span, Stage};
@@ -119,7 +119,10 @@ struct ClientRt {
 /// What a reply flow is carrying.
 #[derive(Debug)]
 enum FlowKind {
-    Reply { conn: ConnId, body_bytes: u64 },
+    Reply {
+        conn: ConnId,
+        body_bytes: u64,
+    },
     /// Handshake/teardown packet overhead (consumes bandwidth, delivers
     /// nothing).
     Overhead,
@@ -247,52 +250,51 @@ impl Testbed {
         let mut cpu = Cpu::new(cfg.num_cpus);
         let kernel_lane = cpu.add_lane(cfg.num_cpus);
         let acceptor_lane = cpu.add_lane(1);
-        let (worker_lane, pool_lane, stage_parse_lane, stage_send_lane, server) =
-            match cfg.server {
-                ServerArch::EventDriven { workers } => {
-                    let w = cpu.add_lane(workers);
-                    let p = cpu.add_lane(1); // unused
-                    let s1 = cpu.add_lane(1); // unused
-                    let s2 = cpu.add_lane(1); // unused
-                    let ev = match cfg.accept_mode {
-                        AcceptMode::Handoff => EventServer::new(workers, cfg.backlog),
-                        AcceptMode::Sharded => EventServer::new_sharded(workers, cfg.backlog),
-                    };
-                    (w, p, s1, s2, ServerModel::Event(ev))
-                }
-                ServerArch::Threaded { pool } => {
-                    let w = cpu.add_lane(1); // unused
-                    let p = cpu.add_lane(pool);
-                    let s1 = cpu.add_lane(1); // unused
-                    let s2 = cpu.add_lane(1); // unused
-                    (
-                        w,
-                        p,
-                        s1,
-                        s2,
-                        ServerModel::Threaded(ThreadedServer::new(pool, cfg.backlog)),
-                    )
-                }
-                ServerArch::Staged {
-                    parse_threads,
-                    send_threads,
-                } => {
-                    let w = cpu.add_lane(1); // unused
-                    let p = cpu.add_lane(1); // unused
-                    let s1 = cpu.add_lane(parse_threads);
-                    let s2 = cpu.add_lane(send_threads);
-                    (
-                        w,
-                        p,
-                        s1,
-                        s2,
-                        ServerModel::Staged(EventServer::new(
-                            parse_threads + send_threads,
-                            cfg.backlog,
-                        )),
-                    )
-                }
-            };
+        let (worker_lane, pool_lane, stage_parse_lane, stage_send_lane, server) = match cfg.server {
+            ServerArch::EventDriven { workers } => {
+                let w = cpu.add_lane(workers);
+                let p = cpu.add_lane(1); // unused
+                let s1 = cpu.add_lane(1); // unused
+                let s2 = cpu.add_lane(1); // unused
+                let ev = match cfg.accept_mode {
+                    AcceptMode::Handoff => EventServer::new(workers, cfg.backlog),
+                    AcceptMode::Sharded => EventServer::new_sharded(workers, cfg.backlog),
+                };
+                (w, p, s1, s2, ServerModel::Event(ev))
+            }
+            ServerArch::Threaded { pool } => {
+                let w = cpu.add_lane(1); // unused
+                let p = cpu.add_lane(pool);
+                let s1 = cpu.add_lane(1); // unused
+                let s2 = cpu.add_lane(1); // unused
+                (
+                    w,
+                    p,
+                    s1,
+                    s2,
+                    ServerModel::Threaded(ThreadedServer::new(pool, cfg.backlog)),
+                )
+            }
+            ServerArch::Staged {
+                parse_threads,
+                send_threads,
+            } => {
+                let w = cpu.add_lane(1); // unused
+                let p = cpu.add_lane(1); // unused
+                let s1 = cpu.add_lane(parse_threads);
+                let s2 = cpu.add_lane(send_threads);
+                (
+                    w,
+                    p,
+                    s1,
+                    s2,
+                    ServerModel::Staged(EventServer::new(
+                        parse_threads + send_threads,
+                        cfg.backlog,
+                    )),
+                )
+            }
+        };
         let metrics = ClientMetrics::new(cfg.window());
         let trace_capacity = cfg.trace_capacity;
         let obs = match &cfg.obs {
@@ -466,13 +468,7 @@ impl Testbed {
     }
 
     /// Enqueue a CPU job and schedule completions for whatever started.
-    fn enqueue_cpu(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        lane: LaneId,
-        service: SimDuration,
-        job: Job,
-    ) {
+    fn enqueue_cpu(&mut self, ctx: &mut Ctx<'_, Ev>, lane: LaneId, service: SimDuration, job: Job) {
         if let Some(conn) = job.conn_ref() {
             if self.conns.contains_key(&conn) {
                 self.conns.get_mut(&conn).expect("checked").pending_jobs += 1;
@@ -831,7 +827,11 @@ impl Testbed {
             util += lg.utilisation;
             flows += lg.active_flows;
         }
-        g.push(t, GaugeKind::LinkUtilisation, util / self.links.len() as f64);
+        g.push(
+            t,
+            GaugeKind::LinkUtilisation,
+            util / self.links.len() as f64,
+        );
         g.push(t, GaugeKind::ActiveFlows, flows as f64);
         match &self.server {
             ServerModel::Threaded(s) => {
@@ -951,9 +951,8 @@ impl Model for Testbed {
                         SynOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
                             self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
-                            let retry = self.clients
-                                [self.conns[&conn].client.0 as usize]
-                                .syn_retry();
+                            let retry =
+                                self.clients[self.conns[&conn].client.0 as usize].syn_retry();
                             ctx.schedule_in(retry, Ev::SynRetry(conn));
                         }
                         SynOutcome::Refused => self.refuse_syn(ctx, conn),
@@ -965,9 +964,15 @@ impl Model for Testbed {
                             // owning worker accepts on its own lane at the
                             // pinned-affinity cost — no acceptor serialization.
                             let (lane, service) = if e.mode() == AcceptMode::Sharded {
-                                (self.worker_lane, self.cfg.costs.sharded_accept_service(cpus))
+                                (
+                                    self.worker_lane,
+                                    self.cfg.costs.sharded_accept_service(cpus),
+                                )
                             } else {
-                                (self.acceptor_lane, self.cfg.costs.event_accept_service(cpus))
+                                (
+                                    self.acceptor_lane,
+                                    self.cfg.costs.event_accept_service(cpus),
+                                )
                             };
                             self.enqueue_cpu(ctx, lane, service, Job::Accept(conn));
                         }
@@ -975,9 +980,8 @@ impl Model for Testbed {
                         AcceptOutcome::Dropped => {
                             let service = self.cfg.costs.reject_service(cpus);
                             self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
-                            let retry = self.clients
-                                [self.conns[&conn].client.0 as usize]
-                                .syn_retry();
+                            let retry =
+                                self.clients[self.conns[&conn].client.0 as usize].syn_retry();
                             ctx.schedule_in(retry, Ev::SynRetry(conn));
                         }
                         AcceptOutcome::Refused => self.refuse_syn(ctx, conn),
@@ -1114,10 +1118,10 @@ impl Model for Testbed {
                         let cpus = self.cfg.num_cpus;
                         for f in files {
                             let reply_bytes = self.reply_wire_bytes(f);
-                            let split = self
-                                .cfg
-                                .costs
-                                .event_request_service(reply_bytes, workers, cpus);
+                            let split =
+                                self.cfg
+                                    .costs
+                                    .event_request_service(reply_bytes, workers, cpus);
                             let job = Job::EventParse { conn, reply_bytes };
                             self.enqueue_cpu(ctx, self.worker_lane, split.worker, job);
                         }
@@ -1199,9 +1203,7 @@ impl Model for Testbed {
                             .get(&conn)
                             .map(|r| matches!(r.net.state, netsim::ConnState::Connecting))
                             .unwrap_or(false);
-                        if let ServerModel::Event(e) | ServerModel::Staged(e) =
-                            &mut self.server
-                        {
+                        if let ServerModel::Event(e) | ServerModel::Staged(e) = &mut self.server {
                             if alive {
                                 e.on_accepted(conn);
                             } else {
@@ -1215,8 +1217,7 @@ impl Model for Testbed {
                                     conn: conn.0,
                                     req: None,
                                     stage: Stage::Accept,
-                                    start_ns: end_ns
-                                        .saturating_sub(job_service.as_nanos()),
+                                    start_ns: end_ns.saturating_sub(job_service.as_nanos()),
                                     end_ns,
                                 });
                             }
@@ -1448,8 +1449,7 @@ impl Model for Testbed {
                     }
                     faults::FaultKind::LatencyJitter { link, added_ns } => {
                         let base = self.cfg.links[link].latency;
-                        self.links[link]
-                            .set_latency(base + SimDuration::from_nanos(added_ns));
+                        self.links[link].set_latency(base + SimDuration::from_nanos(added_ns));
                     }
                     faults::FaultKind::WorkerCrash { fraction, .. } => {
                         // Crashed threads are modeled as lane capacity lost
@@ -1466,8 +1466,7 @@ impl Model for Testbed {
                                 (self.stage_parse_lane, parse_threads)
                             }
                         };
-                        let count =
-                            ((n as f64 * fraction).round() as usize).clamp(1, n);
+                        let count = ((n as f64 * fraction).round() as usize).clamp(1, n);
                         for (token, finish, _service) in
                             self.cpu.set_lane_cap(ctx.now(), lane, (n - count).max(1))
                         {
@@ -1562,9 +1561,7 @@ impl Model for Testbed {
                         if restart {
                             let (lane, n) = match self.cfg.server {
                                 ServerArch::Threaded { pool } => (self.pool_lane, pool),
-                                ServerArch::EventDriven { workers } => {
-                                    (self.worker_lane, workers)
-                                }
+                                ServerArch::EventDriven { workers } => (self.worker_lane, workers),
                                 ServerArch::Staged { parse_threads, .. } => {
                                     (self.stage_parse_lane, parse_threads)
                                 }
@@ -1614,11 +1611,9 @@ impl Model for Testbed {
                     self.obs
                         .requests
                         .begin(conn.0, start_ns, Stage::ConnectWait);
-                    self.obs.requests.finish_next(
-                        conn.0,
-                        ctx.now().as_nanos(),
-                        EndReason::Refused,
-                    );
+                    self.obs
+                        .requests
+                        .finish_next(conn.0, ctx.now().as_nanos(), EndReason::Refused);
                 }
                 let action = {
                     let client = &mut self.clients[cid.0 as usize];
@@ -1820,7 +1815,11 @@ pub fn run(cfg: TestbedConfig) -> Testbed {
     engine.schedule_at(SimTime::ZERO + warmup, Ev::MeasureStart);
     engine.schedule_at(SimTime::ZERO + duration, Ev::EndRun);
     let outcome = engine.run();
-    assert_eq!(outcome, RunOutcome::Stopped, "run did not reach its horizon");
+    assert_eq!(
+        outcome,
+        RunOutcome::Stopped,
+        "run did not reach its horizon"
+    );
     let engine_stats = engine.stats();
     let mut testbed = engine.into_model();
     testbed.engine_stats = engine_stats;

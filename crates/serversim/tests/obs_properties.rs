@@ -121,7 +121,10 @@ fn histogram_percentiles_agree_with_span_derived_response_times() {
         .iter()
         .map(|b| b.total_ns())
         .collect();
-    assert!(totals.len() >= 100, "too few requests to compare percentiles");
+    assert!(
+        totals.len() >= 100,
+        "too few requests to compare percentiles"
+    );
     totals.sort_unstable();
     let hist = tb.obs.requests.hists().total();
     assert_eq!(hist.count(), totals.len() as u64);
@@ -144,11 +147,7 @@ fn histogram_percentiles_agree_with_span_derived_response_times() {
 #[test]
 fn disabled_obs_records_nothing() {
     let link = LinkConfig::from_mbit(100.0, SimDuration::from_micros(100));
-    let mut cfg = TestbedConfig::paper_default(
-        ServerArch::EventDriven { workers: 2 },
-        1,
-        link,
-    );
+    let mut cfg = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 2 }, 1, link);
     cfg.num_clients = 10;
     cfg.duration = SimDuration::from_secs(2);
     cfg.warmup = SimDuration::from_millis(500);
@@ -162,11 +161,7 @@ fn disabled_obs_records_nothing() {
 
 #[test]
 fn breakdown_count_tracks_delivered_replies() {
-    let tb = run(observed_config(
-        ServerArch::Threaded { pool: 16 },
-        20,
-        7,
-    ));
+    let tb = run(observed_config(ServerArch::Threaded { pool: 16 }, 20, 7));
     let done = tb
         .obs
         .requests

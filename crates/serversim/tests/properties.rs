@@ -6,7 +6,7 @@ use clientsim::ClientConfig;
 use desim::SimDuration;
 use netsim::LinkConfig;
 use proptest::prelude::*;
-use serversim::{run, RunResult, ServerArch, TestbedConfig, Testbed};
+use serversim::{run, RunResult, ServerArch, Testbed, TestbedConfig};
 
 fn tiny(server: ServerArch, clients: u32, seed: u64, cpus: usize) -> TestbedConfig {
     let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));

@@ -16,8 +16,8 @@ pub mod session;
 pub mod surge;
 
 pub use dist::{
-    gamma, BoundedPareto, Constant, Distribution, Exponential, LogNormal, Pareto, Uniform,
-    Weibull, Zipf,
+    gamma, BoundedPareto, Constant, Distribution, Exponential, LogNormal, Pareto, Uniform, Weibull,
+    Zipf,
 };
 pub use httperf::HttperfInvocation;
 pub use locality::LocalityModel;

@@ -184,7 +184,9 @@ mod tests {
     fn popularity_correlates_with_small_sizes() {
         let fs = build_default(3);
         let n = fs.len();
-        let head: f64 = (0..n / 10).map(|i| fs.size_of(FileId(i as u32)) as f64).sum::<f64>()
+        let head: f64 = (0..n / 10)
+            .map(|i| fs.size_of(FileId(i as u32)) as f64)
+            .sum::<f64>()
             / (n / 10) as f64;
         let tail: f64 = (9 * n / 10..n)
             .map(|i| fs.size_of(FileId(i as u32)) as f64)
@@ -229,10 +231,7 @@ mod tests {
             .filter(|_| fs.sample(&mut rng).0 < (fs.len() / 10) as u32)
             .count();
         // Under Zipf(s=1) over 2000 files, the top 10% carries ~70% of mass.
-        assert!(
-            hot as f64 / n as f64 > 0.5,
-            "top decile only got {hot}/{n}"
-        );
+        assert!(hot as f64 / n as f64 > 0.5, "top decile only got {hot}/{n}");
     }
 
     #[test]

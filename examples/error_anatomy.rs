@@ -27,8 +27,7 @@ fn main() {
     ]);
 
     for timeout_s in [5u64, 15, 60] {
-        let mut cfg =
-            TestbedConfig::paper_default(ServerArch::Threaded { pool: 2048 }, 1, link);
+        let mut cfg = TestbedConfig::paper_default(ServerArch::Threaded { pool: 2048 }, 1, link);
         cfg.num_clients = clients;
         cfg.duration = SimDuration::from_secs(40);
         cfg.warmup = SimDuration::from_secs(10);

@@ -33,7 +33,10 @@ fn main() {
     println!("6000 clients, 4 CPUs, 1 Gbit (the paper's SMP saturation point):\n");
 
     for (label, server) in [
-        ("flat nio, 2 workers", ServerArch::EventDriven { workers: 2 }),
+        (
+            "flat nio, 2 workers",
+            ServerArch::EventDriven { workers: 2 },
+        ),
         ("httpd, 4096 threads", ServerArch::Threaded { pool: 4096 }),
         (
             "staged 1 parse + 1 send",

@@ -58,10 +58,7 @@ mod tests {
     #[test]
     fn send_try_recv_round_trip() {
         let (tx, rx) = channel::unbounded::<u32>();
-        assert!(matches!(
-            rx.try_recv(),
-            Err(channel::TryRecvError::Empty)
-        ));
+        assert!(matches!(rx.try_recv(), Err(channel::TryRecvError::Empty)));
         tx.send(7).unwrap();
         tx.send(8).unwrap();
         assert_eq!(rx.try_recv().unwrap(), 7);

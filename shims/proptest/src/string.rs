@@ -31,7 +31,9 @@ impl Strategy for &str {
 /// backslashes show up often) plus multi-byte and astral code points.
 fn printable_alphabet() -> Vec<char> {
     let mut chars: Vec<char> = (0x20u8..0x7f).map(|b| b as char).collect();
-    chars.extend(['é', 'ß', 'λ', 'Ж', '中', '日', '…', '€', '\u{00a0}', '😀', '🦀']);
+    chars.extend([
+        'é', 'ß', 'λ', 'Ж', '中', '日', '…', '€', '\u{00a0}', '😀', '🦀',
+    ]);
     chars
 }
 
@@ -116,7 +118,10 @@ mod tests {
             saw_quote |= s.contains('"');
             saw_backslash |= s.contains('\\');
         }
-        assert!(saw_quote && saw_backslash, "escape-relevant chars must appear");
+        assert!(
+            saw_quote && saw_backslash,
+            "escape-relevant chars must appear"
+        );
     }
 
     #[test]

@@ -57,7 +57,8 @@ fn start_pool(pool_size: usize, shed: Option<u64>) -> poolserver::PoolServer {
 fn idle_after_one(addr: SocketAddr) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    s.write_all(b"GET /f/0 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    s.write_all(b"GET /f/0 HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
     read_one_response(&mut s);
     s
 }
@@ -165,7 +166,8 @@ fn pool_graceful_drain_delivers_in_flight_response() {
     // the drain must not claw those bytes back.
     let mut b = TcpStream::connect(addr).unwrap();
     b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    b.write_all(b"GET /f/2 HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+    b.write_all(b"GET /f/2 HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
     std::thread::sleep(Duration::from_millis(150));
 
     let report = server.shutdown_graceful(Duration::from_secs(3));
@@ -235,7 +237,11 @@ fn quick_plan() -> FaultPlan {
 fn get_ok(addr: SocketAddr, path: &str) {
     let mut s = TcpStream::connect(addr).unwrap();
     s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").unwrap();
+    write!(
+        s,
+        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap();
     let (status, _) = read_one_response(&mut s);
     assert_eq!(status, 200);
 }

@@ -19,8 +19,7 @@ use workload::SurgeConfig;
 fn reset_contrast_holds_in_both_layers() {
     // --- simulated ---
     let link = LinkConfig::from_mbit(1000.0, SimDuration::from_micros(100));
-    let mut sim_nio =
-        TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
+    let mut sim_nio = TestbedConfig::paper_default(ServerArch::EventDriven { workers: 1 }, 1, link);
     sim_nio.num_clients = 150;
     sim_nio.duration = SimDuration::from_secs(20);
     sim_nio.warmup = SimDuration::from_secs(5);

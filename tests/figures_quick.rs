@@ -48,7 +48,11 @@ fn fig3_error_taxonomy() {
     // httpd produces at least some resets once load is non-trivial.
     let httpd = fig.series_by_label("httpd").unwrap();
     let total: f64 = httpd.points.iter().map(|r| r.conn_reset_per_s).sum();
-    assert!(total > 0.0, "httpd should reset thinking clients\n{}", fig.render());
+    assert!(
+        total > 0.0,
+        "httpd should reset thinking clients\n{}",
+        fig.render()
+    );
 }
 
 #[test]

@@ -51,7 +51,13 @@ fn one_worker_reactor_sustains_many_live_clients() {
     assert_eq!(report.errors.connection_reset, 0);
     assert!(report.sessions_completed > 5);
     // One worker, sixteen concurrent clients: the whole point.
-    assert!(server.stats().accepted.load(std::sync::atomic::Ordering::Relaxed) > 5);
+    assert!(
+        server
+            .stats()
+            .accepted
+            .load(std::sync::atomic::Ordering::Relaxed)
+            > 5
+    );
     server.shutdown();
 }
 

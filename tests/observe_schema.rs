@@ -137,9 +137,8 @@ fn sim_and_live_jsonl_share_one_schema() {
     let live_schema = schema_of(&live);
 
     // Both captures exercise every record type, in emission order.
-    let tags = |s: &[(String, Vec<String>)]| -> Vec<String> {
-        s.iter().map(|(t, _)| t.clone()).collect()
-    };
+    let tags =
+        |s: &[(String, Vec<String>)]| -> Vec<String> { s.iter().map(|(t, _)| t.clone()).collect() };
     assert_eq!(tags(&sim_schema), LINE_TYPES.to_vec());
     assert_eq!(tags(&live_schema), LINE_TYPES.to_vec());
 
@@ -169,7 +168,11 @@ fn sim_and_live_jsonl_share_one_schema() {
             let sum: u64 = line
                 .split(r#""ns":"#)
                 .skip(1)
-                .map(|s| s[..s.find(['}', ','].as_ref()).unwrap()].parse::<u64>().unwrap())
+                .map(|s| {
+                    s[..s.find(['}', ','].as_ref()).unwrap()]
+                        .parse::<u64>()
+                        .unwrap()
+                })
                 .sum();
             assert_eq!(sum, total, "stages must sum to total: {line}");
         }
