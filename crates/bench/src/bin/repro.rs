@@ -15,9 +15,6 @@
 //!   repro observe capacity --smoke
 //!                             # short refit: fail when fitted σ or κ
 //!                             # regress beyond tolerance vs the baseline
-//!   repro chaos               # replay every named fault plan against both
-//!                             # architectures; report degradation and
-//!                             # time-to-recover (--smoke: CI subset)
 //!   repro scale               # connection-count frontier: ramp live
 //!                             # keep-alive conns to the fd ceiling and a
 //!                             # million simulated conns into the slab;
@@ -49,7 +46,7 @@ use experiments::{check_figure, render_checks, Campaign, Scale, ALL_FIGURE_IDS};
 use metrics::Json;
 use std::io::Write as _;
 
-const USAGE: &str = "usage: repro [observe] [all | ext | everything | list | chaos | scale | \
+const USAGE: &str = "usage: repro [observe] [all | ext | everything | list | scale | \
     resilience | conformance | fig1a ...] [--quick] [--smoke] [--sharded] [--json PATH] \
     [--csv PATH]";
 
@@ -61,7 +58,6 @@ fn main() {
     let mut ids: Vec<String> = Vec::new();
     let mut quick = false;
     let mut observe_mode = false;
-    let mut chaos_mode = false;
     let mut scale_mode = false;
     let mut resilience_mode = false;
     let mut conformance_mode = false;
@@ -78,7 +74,6 @@ fn main() {
             "--smoke" => smoke = true,
             "--sharded" => accept_mode = faults::AcceptMode::Sharded,
             "observe" => observe_mode = true,
-            "chaos" => chaos_mode = true,
             "scale" => scale_mode = true,
             "resilience" => resilience_mode = true,
             "conformance" => conformance_mode = true,
@@ -107,10 +102,9 @@ fn main() {
             "list" => {
                 println!("paper figures:    {}", ALL_FIGURE_IDS.join(" "));
                 println!("tables:           table-up table-smp");
-                println!("robustness:       sensitivity chaos resilience conformance");
+                println!("robustness:       sensitivity resilience conformance");
                 println!("performance:      scale");
                 println!("observability:    observe <fig-id> | observe capacity");
-                println!("fault plans:      {}", faults::PLAN_NAMES.join(" "));
                 println!("extensions:       {}", EXTENSION_IDS.join(" "));
                 std::process::exit(0);
             }
@@ -208,23 +202,6 @@ fn main() {
         );
         if failed > 0 {
             eprintln!("{failed} resilience check(s) FAILED");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if chaos_mode {
-        let start = std::time::Instant::now();
-        let report = experiments::run_chaos(smoke);
-        println!("{}", experiments::render_chaos(&report));
-        println!("{}", render_checks(&report.checks));
-        let failed = report.checks.iter().filter(|c| !c.pass).count();
-        println!(
-            "  ({} runs, {:.1}s)\n",
-            report.runs.len(),
-            start.elapsed().as_secs_f64()
-        );
-        if failed > 0 {
-            eprintln!("{failed} chaos check(s) FAILED");
             std::process::exit(1);
         }
         return;

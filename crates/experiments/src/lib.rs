@@ -23,7 +23,6 @@
 
 pub mod capacity;
 pub mod catalog;
-pub mod chaos;
 pub mod checks;
 pub mod conformance;
 pub mod figure;
@@ -40,7 +39,6 @@ pub use capacity::{
     SIGMA_TOLERANCE,
 };
 pub use catalog::{Campaign, LinkSetup, Scale, ALL_FIGURE_IDS};
-pub use chaos::{render_chaos, run_chaos, ChaosReport, ChaosRun};
 pub use checks::{check_figure, render_checks, Check};
 pub use conformance::{
     conformance_checks, corpus_entries, render_conformance, run_conformance, ConformanceReport,

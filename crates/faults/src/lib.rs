@@ -1,23 +1,13 @@
-//! Fault plans, overload control, and recovery accounting.
+//! Overload control and drain accounting shared by the sim and live layers.
 //!
-//! The paper's sharpest claims are robustness claims: the thread-pool server
-//! emits a growing stream of resets and timeouts under pressure while the
-//! event-driven server degrades gracefully. This crate gives both layers one
-//! vocabulary for *provoking* that behaviour (deterministic [`FaultPlan`]
-//! schedules), *surviving* it ([`AdmissionControl`], [`RetryPolicy`]), and
-//! *accounting* for it ([`DrainReport`], [`FaultImpact`]).
-//!
-//! Everything here is denominated in plain `u64` nanoseconds rather than a
-//! layer-specific time type, so the exact same plan value drives the
-//! discrete-event testbed in virtual time and the loopback fault driver in
-//! wall-clock time.
+//! Both server architectures, the simulated testbed and both clients read
+//! one vocabulary from here: how connections reach a worker
+//! ([`AcceptMode`]), when the server refuses at the door
+//! ([`AdmissionControl`]), how a client backs off and retries
+//! ([`RetryPolicy`]), and what a graceful shutdown delivered
+//! ([`DrainReport`]). Every knob defaults to off, so the paper's figures
+//! are reproduced unchanged unless a caller opts in.
 
-pub mod live;
-pub mod plan;
 pub mod policy;
-pub mod recovery;
 
-pub use live::{run_plan, FaultTarget, PlanOutcome};
-pub use plan::{FaultEvent, FaultKind, FaultPlan, PLAN_NAMES};
 pub use policy::{AcceptMode, AdmissionControl, DrainReport, RetryPolicy, ACCEPT_MODE_ENV};
-pub use recovery::FaultImpact;

@@ -94,52 +94,4 @@ proptest! {
         prop_assert!((l.bytes_delivered - (total - lost)).abs() < 2.0,
             "delivered {} vs {}", l.bytes_delivered, total - lost);
     }
-
-    /// Re-asserting the same capacity at arbitrary instants never changes
-    /// completion times (the virtual clock is exact across updates).
-    #[test]
-    fn capacity_noop_updates_are_invisible(
-        sizes in proptest::collection::vec(10_000.0f64..500_000.0, 1..15),
-        checkpoints in proptest::collection::vec(1u64..2_000, 0..10),
-    ) {
-        let run = |with_updates: bool| {
-            let mut l = link();
-            for (i, &b) in sizes.iter().enumerate() {
-                l.start_flow(SimTime::ZERO, FlowId(i as u64), b);
-            }
-            let mut cps: Vec<u64> = checkpoints.clone();
-            cps.sort_unstable();
-            let mut now = SimTime::ZERO;
-            let mut out = Vec::new();
-            let mut cp_iter = cps.into_iter();
-            let mut next_cp = cp_iter.next();
-            loop {
-                let completion = l.next_completion(now);
-                match (completion, next_cp) {
-                    (Some((t, _)), Some(cp)) if SimTime::from_millis(cp) < t => {
-                        now = SimTime::from_millis(cp);
-                        if with_updates {
-                            l.set_capacity(now, CAP);
-                        }
-                        next_cp = cp_iter.next();
-                    }
-                    (Some((t, _)), _) => {
-                        now = t.max(now);
-                        out.push((now, l.complete_next(now).unwrap()));
-                    }
-                    (None, _) => break,
-                }
-            }
-            out
-        };
-        let plain = run(false);
-        let updated = run(true);
-        prop_assert_eq!(plain.len(), updated.len());
-        for (a, b) in plain.iter().zip(&updated) {
-            prop_assert_eq!(a.1, b.1);
-            let da = a.0.as_secs_f64();
-            let db = b.0.as_secs_f64();
-            prop_assert!((da - db).abs() < 1e-6, "{da} vs {db}");
-        }
-    }
 }

@@ -63,14 +63,6 @@ pub enum Ev {
     ServerIdleClose(ConnId),
     /// Periodic instability injection for oversized thread pools.
     StallTick,
-    /// Failure injection: link `i` goes dark.
-    LinkDown(usize),
-    /// Failure injection: link `i` restores.
-    LinkUp(usize),
-    /// Fault plan: event `i` of the plan takes effect.
-    FaultBegin(usize),
-    /// Fault plan: event `i` of the plan clears.
-    FaultEnd(usize),
     /// An explicit refusal (RST to a connecting client) reached the client.
     RefusedAtClient(ConnId),
     /// Graceful drain begins: stop accepting, finish in-flight work.
@@ -194,16 +186,6 @@ pub struct Testbed {
     pub trace: Trace,
     /// Typed observability capture (disabled unless `cfg.obs` is set).
     pub obs: Obs,
-    /// Accept path frozen by a server-stall fault window.
-    accepts_stalled: bool,
-    /// Slow-loris fault: clients with id below this trickle request bytes.
-    loris_clients: u32,
-    /// Never-reads fault: clients with id below this stop draining replies,
-    /// so their reply flows wedge until the fault clears.
-    never_reads_clients: u32,
-    /// Fd-storm fault window: the server's fd headroom is exhausted, so
-    /// every arriving SYN is answered with an explicit refusal.
-    fd_storm: bool,
     /// Graceful drain in progress.
     draining: bool,
     /// Connections that closed cleanly (client FIN) since the drain began.
@@ -327,10 +309,6 @@ impl Testbed {
                 Trace::disabled()
             },
             obs,
-            accepts_stalled: false,
-            loris_clients: 0,
-            never_reads_clients: 0,
-            fd_storm: false,
             draining: false,
             drain_drained: 0,
             drain_aborted: 0,
@@ -567,13 +545,6 @@ impl Testbed {
         if rec.active_flow.is_some() || !rec.net.is_established() {
             return;
         }
-        // Never-reads fault window: an afflicted client's receive window is
-        // shut, so the reply wedges in the pipeline (and, for the threaded
-        // server, keeps the bound thread wedged behind it) until the fault
-        // clears and `FaultEnd` kicks the stalled pipelines.
-        if self.never_reads_clients > 0 && rec.client.0 < self.never_reads_clients {
-            return;
-        }
         let Some(bytes) = rec.pipeline.pop_front() else {
             return;
         };
@@ -788,14 +759,7 @@ impl Testbed {
                     }
                 }
                 let link = self.conns[&conn].link;
-                let mut lat = self.latency(link);
-                // Slow-loris window: afflicted clients trickle their request
-                // bytes, so the burst takes seconds to fully arrive. The
-                // stagger is a pure function of the client id — determinism
-                // is preserved.
-                if self.loris_clients > 0 && cid.0 < self.loris_clients {
-                    lat += SimDuration::from_millis(2_000 + (cid.0 as u64 % 7) * 250);
-                }
+                let lat = self.latency(link);
                 ctx.schedule_in(lat, Ev::RequestsAtServer(conn, files));
             }
             ClientAction::Think(d) => {
@@ -916,20 +880,10 @@ impl Model for Testbed {
                     self.stale_events += 1;
                     return;
                 }
-                // Server-stall fault window: the accept path is frozen, so
-                // the SYN goes unanswered exactly like a silent drop and
-                // the client's retransmit timer fires.
-                if self.accepts_stalled {
-                    let retry = self.clients[self.conns[&conn].client.0 as usize].syn_retry();
-                    ctx.schedule_in(retry, Ev::SynRetry(conn));
-                    return;
-                }
-                // Overload control: refuse explicitly while draining, while
-                // an fd-storm has the fd table exhausted (the fd-reserve
-                // defense answers with an RST rather than dying on accept),
-                // or when the load-shedding watermark is crossed — before
-                // any accept state is reserved.
-                if self.draining || self.fd_storm || self.shed_watermark_hit() {
+                // Overload control: refuse explicitly while draining or when
+                // the load-shedding watermark is crossed — before any accept
+                // state is reserved.
+                if self.draining || self.shed_watermark_hit() {
                     self.refuse_syn(ctx, conn);
                     return;
                 }
@@ -1403,184 +1357,6 @@ impl Model for Testbed {
                 }
             }
 
-            Ev::LinkDown(li) => {
-                // An outage is a near-zero capacity: in-flight transfers
-                // freeze (the PS clock all but stops) and clients start
-                // timing out. SYNs during the outage still "arrive" — the
-                // handshake packets are lost in the noise of the fluid
-                // model; the timeout machinery produces the user-visible
-                // failures either way.
-                self.links[li].set_capacity(ctx.now(), 1e-3);
-                self.resched_link(ctx, li);
-            }
-
-            Ev::LinkUp(li) => {
-                let restored = self.cfg.links[li].capacity_bps;
-                self.links[li].set_capacity(ctx.now(), restored);
-                self.resched_link(ctx, li);
-            }
-
-            Ev::FaultBegin(i) => {
-                let ev = self
-                    .cfg
-                    .fault_plan
-                    .as_ref()
-                    .expect("fault event without a plan")
-                    .events[i];
-                if self.trace.wants(TraceLevel::Info) {
-                    self.trace.emit(
-                        ctx.now(),
-                        TraceLevel::Info,
-                        format!("fault begins: {}", ev.kind.label()),
-                    );
-                }
-                match ev.kind {
-                    faults::FaultKind::LinkOutage { link } => {
-                        self.links[link].set_capacity(ctx.now(), 1e-3);
-                        self.resched_link(ctx, link);
-                    }
-                    faults::FaultKind::LinkDegrade {
-                        link,
-                        capacity_factor,
-                    } => {
-                        let base = self.cfg.links[link].capacity_bps;
-                        self.links[link].set_capacity(ctx.now(), base * capacity_factor);
-                        self.resched_link(ctx, link);
-                    }
-                    faults::FaultKind::LatencyJitter { link, added_ns } => {
-                        let base = self.cfg.links[link].latency;
-                        self.links[link].set_latency(base + SimDuration::from_nanos(added_ns));
-                    }
-                    faults::FaultKind::WorkerCrash { fraction, .. } => {
-                        // Crashed threads are modeled as lane capacity lost
-                        // for the window: dead slots cannot pick up work,
-                        // but they consume no processor time. At least one
-                        // slot always survives — a fully dead server is the
-                        // `ServerStall` plan's job. Jobs already running on
-                        // a crashed slot finish (the model is
-                        // non-preemptive); the cap bites on the next pickup.
-                        let (lane, n) = match self.cfg.server {
-                            ServerArch::Threaded { pool } => (self.pool_lane, pool),
-                            ServerArch::EventDriven { workers } => (self.worker_lane, workers),
-                            ServerArch::Staged { parse_threads, .. } => {
-                                (self.stage_parse_lane, parse_threads)
-                            }
-                        };
-                        let count = ((n as f64 * fraction).round() as usize).clamp(1, n);
-                        for (token, finish, _service) in
-                            self.cpu.set_lane_cap(ctx.now(), lane, (n - count).max(1))
-                        {
-                            ctx.schedule_at(finish, Ev::CpuDone(token));
-                        }
-                        // Sharded accept: a dead worker's private listen
-                        // queue is adopted by a survivor (the live layer's
-                        // listener-fd takeover), so queued accepts survive.
-                        if let ServerModel::Event(e) = &mut self.server {
-                            e.crash_shards(count);
-                        }
-                    }
-                    faults::FaultKind::ServerStall => {
-                        self.accepts_stalled = true;
-                        // Every processor is pinned for the window: nothing
-                        // in flight makes progress either.
-                        let dur = SimDuration::from_nanos(ev.duration_ns);
-                        for _ in 0..self.cfg.num_cpus {
-                            self.enqueue_cpu(ctx, self.kernel_lane, dur, Job::Stall);
-                        }
-                    }
-                    faults::FaultKind::SlowLoris { clients } => {
-                        self.loris_clients = clients.min(self.cfg.num_clients as usize) as u32;
-                    }
-                    faults::FaultKind::NeverReads { clients } => {
-                        self.never_reads_clients =
-                            clients.min(self.cfg.num_clients as usize) as u32;
-                    }
-                    faults::FaultKind::FdStorm { sockets } => {
-                        self.fd_storm = true;
-                        // The storm's connect burst slams the accept path:
-                        // one kernel reject's worth of CPU per raw socket.
-                        let service = self.cfg.costs.reject_service(self.cfg.num_cpus);
-                        for _ in 0..sockets {
-                            self.enqueue_cpu(ctx, self.kernel_lane, service, Job::Reject);
-                        }
-                    }
-                }
-            }
-
-            Ev::FaultEnd(i) => {
-                let ev = self
-                    .cfg
-                    .fault_plan
-                    .as_ref()
-                    .expect("fault event without a plan")
-                    .events[i];
-                if self.trace.wants(TraceLevel::Info) {
-                    self.trace.emit(
-                        ctx.now(),
-                        TraceLevel::Info,
-                        format!("fault clears: {}", ev.kind.label()),
-                    );
-                }
-                match ev.kind {
-                    faults::FaultKind::LinkOutage { link }
-                    | faults::FaultKind::LinkDegrade { link, .. } => {
-                        let restored = self.cfg.links[link].capacity_bps;
-                        self.links[link].set_capacity(ctx.now(), restored);
-                        self.resched_link(ctx, link);
-                    }
-                    faults::FaultKind::LatencyJitter { link, .. } => {
-                        let base = self.cfg.links[link].latency;
-                        self.links[link].set_latency(base);
-                    }
-                    faults::FaultKind::ServerStall => {
-                        self.accepts_stalled = false;
-                    }
-                    faults::FaultKind::SlowLoris { .. } => {
-                        self.loris_clients = 0;
-                    }
-                    faults::FaultKind::NeverReads { .. } => {
-                        self.never_reads_clients = 0;
-                        // Kick every pipeline the fault wedged: the clients
-                        // drain again, so stalled replies start flowing.
-                        let wedged: Vec<ConnId> = self
-                            .conns
-                            .iter()
-                            .filter(|(_, r)| r.active_flow.is_none() && !r.pipeline.is_empty())
-                            .map(|(c, _)| c)
-                            .collect();
-                        for conn in wedged {
-                            self.try_start_flow(ctx, conn);
-                        }
-                    }
-                    faults::FaultKind::FdStorm { .. } => {
-                        self.fd_storm = false;
-                    }
-                    // Restart brings the crashed slots back; without it the
-                    // reduced lane cap holds to the horizon.
-                    faults::FaultKind::WorkerCrash { restart, .. } => {
-                        if restart {
-                            let (lane, n) = match self.cfg.server {
-                                ServerArch::Threaded { pool } => (self.pool_lane, pool),
-                                ServerArch::EventDriven { workers } => (self.worker_lane, workers),
-                                ServerArch::Staged { parse_threads, .. } => {
-                                    (self.stage_parse_lane, parse_threads)
-                                }
-                            };
-                            // Restarted workers rebind their own listeners.
-                            if let ServerModel::Event(e) = &mut self.server {
-                                e.revive_shards(n);
-                            }
-                            // Freed capacity can start queued work right now.
-                            for (token, finish, _service) in
-                                self.cpu.set_lane_cap(ctx.now(), lane, n)
-                            {
-                                ctx.schedule_at(finish, Ev::CpuDone(token));
-                            }
-                        }
-                    }
-                }
-            }
-
             Ev::RefusedAtClient(conn) => {
                 let Some(rec) = self.conns.get(&conn) else {
                     self.stale_events += 1;
@@ -1775,12 +1551,6 @@ pub fn run(cfg: TestbedConfig) -> Testbed {
             ServerArch::Threaded { pool } => pool >= cfg.stall_threshold,
             _ => false,
         };
-    let outages = cfg.link_outages.clone();
-    let fault_events: Vec<faults::FaultEvent> = cfg
-        .fault_plan
-        .as_ref()
-        .map(|p| p.events.clone())
-        .unwrap_or_default();
     let drain_at = cfg.drain_at;
     let drain_deadline = cfg.drain_deadline;
     let testbed = Testbed::new(cfg);
@@ -1796,14 +1566,6 @@ pub fn run(cfg: TestbedConfig) -> Testbed {
     }
     if stall_possible {
         engine.schedule_at(SimTime::from_millis(500), Ev::StallTick);
-    }
-    for &(li, start, dur) in &outages {
-        engine.schedule_at(SimTime::ZERO + start, Ev::LinkDown(li));
-        engine.schedule_at(SimTime::ZERO + start + dur, Ev::LinkUp(li));
-    }
-    for (i, e) in fault_events.iter().enumerate() {
-        engine.schedule_at(SimTime::from_nanos(e.start_ns), Ev::FaultBegin(i));
-        engine.schedule_at(SimTime::from_nanos(e.end_ns()), Ev::FaultEnd(i));
     }
     if let Some(at) = drain_at {
         engine.schedule_at(SimTime::ZERO + at, Ev::DrainStart);

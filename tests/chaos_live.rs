@@ -1,11 +1,9 @@
-//! Live-layer robustness: graceful drain loses no in-flight responses,
-//! admission control refuses at the door, and a [`faults::FaultPlan`]
-//! replays against real servers over loopback sockets.
+//! Live-layer overload control over loopback sockets: graceful drain loses
+//! no in-flight responses, and admission control refuses at the door.
 
 #![cfg(target_os = "linux")]
 
 use desim::Rng;
-use faults::{FaultEvent, FaultKind, FaultPlan};
 use httpcore::ContentStore;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -209,75 +207,4 @@ fn shed_watermark_refuses_at_the_door_on_both_servers() {
     }
     assert!(pool.stats().refused.load(Ordering::Relaxed) >= 1);
     pool.shutdown();
-}
-
-/// A millisecond-denominated stall+crash plan for loopback replay.
-fn quick_plan() -> FaultPlan {
-    let ms = 1_000_000u64;
-    FaultPlan::new(
-        "live-smoke",
-        vec![
-            FaultEvent {
-                start_ns: 0,
-                duration_ns: 120 * ms,
-                kind: FaultKind::ServerStall,
-            },
-            FaultEvent {
-                start_ns: 20 * ms,
-                duration_ns: 120 * ms,
-                kind: FaultKind::WorkerCrash {
-                    fraction: 0.5,
-                    restart: true,
-                },
-            },
-        ],
-    )
-}
-
-fn get_ok(addr: SocketAddr, path: &str) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    write!(
-        s,
-        "GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let (status, _) = read_one_response(&mut s);
-    assert_eq!(status, 200);
-}
-
-#[test]
-fn fault_plan_replays_against_live_nio_server() {
-    let server = start_nio(2, None);
-    let outcome = faults::run_plan(&quick_plan(), &server, 1.0);
-    assert_eq!(outcome.applied, 2);
-    assert_eq!(outcome.skipped, 0);
-    assert!(server.stats().worker_crashes.load(Ordering::Relaxed) >= 1);
-    // The restarted worker comes back and the server serves normally.
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while server.stats().alive_workers.load(Ordering::Relaxed) < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(server.stats().alive_workers.load(Ordering::Relaxed), 2);
-    for i in 0..4 {
-        get_ok(server.addr(), &format!("/f/{i}"));
-    }
-    server.shutdown();
-}
-
-#[test]
-fn fault_plan_replays_against_live_pool_server() {
-    let server = start_pool(4, None);
-    let outcome = faults::run_plan(&quick_plan(), &server, 1.0);
-    assert_eq!(outcome.applied, 2);
-    assert_eq!(outcome.skipped, 0);
-    let deadline = Instant::now() + Duration::from_secs(3);
-    while server.stats().alive_threads.load(Ordering::Relaxed) < 4 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    assert_eq!(server.stats().alive_threads.load(Ordering::Relaxed), 4);
-    for i in 0..4 {
-        get_ok(server.addr(), &format!("/f/{i}"));
-    }
-    server.shutdown();
 }
