@@ -183,4 +183,80 @@ mod tests {
         assert_eq!(cm.traffic.sessions_completed, 2);
         assert_eq!(cm.traffic.sessions_aborted, 1);
     }
+
+    #[test]
+    fn refusals_get_their_own_series() {
+        let mut cm = m();
+        cm.record_error(SimTime::from_secs(1), ClientError::ConnectionRefused);
+        cm.record_error(SimTime::from_secs(1), ClientError::ConnectionRefused);
+        assert_eq!(cm.errors.connection_refused, 2);
+        assert!(!cm.refused_series.is_empty());
+        assert!(cm.timeout_series.is_empty());
+        assert!(cm.reset_series.is_empty());
+    }
+
+    #[test]
+    fn socket_errors_are_counted_but_have_no_series() {
+        let mut cm = m();
+        cm.record_error(SimTime::from_secs(2), ClientError::SocketError);
+        assert_eq!(cm.errors.socket_error, 1);
+        assert!(cm.timeout_series.is_empty());
+        assert!(cm.reset_series.is_empty());
+        assert!(cm.refused_series.is_empty());
+    }
+
+    #[test]
+    fn warmup_excludes_every_counter() {
+        let mut cm = m();
+        cm.set_measure_from(SimTime::from_secs(10));
+        assert_eq!(cm.measure_from(), SimTime::from_secs(10));
+        let early = SimTime::from_secs(9);
+        cm.record_connect(early, SimDuration::from_millis(1));
+        cm.record_request_sent(early, 80);
+        cm.record_retry(early);
+        cm.record_session_end(early, true);
+        cm.record_error(early, ClientError::ClientTimeout);
+        let t = &cm.traffic;
+        assert_eq!(
+            (
+                t.connections_established,
+                t.requests_sent,
+                t.bytes_sent,
+                t.retries,
+                t.sessions_completed
+            ),
+            (0, 0, 0, 0, 0)
+        );
+        assert_eq!(cm.errors.client_timeout, 0);
+        assert!(cm.connect_time_us.is_empty());
+        // The per-window error series still sees the early timeout.
+        assert!(!cm.timeout_series.is_empty());
+    }
+
+    #[test]
+    fn traffic_totals_add_bytes_and_retries() {
+        let mut cm = m();
+        let t = SimTime::from_secs(1);
+        cm.record_request_sent(t, 80);
+        cm.record_request_sent(t, 90);
+        cm.record_reply(t, SimDuration::from_millis(1), 1_000);
+        cm.record_retry(t);
+        assert_eq!(cm.traffic.requests_sent, 2);
+        assert_eq!(cm.traffic.bytes_sent, 170);
+        assert_eq!(cm.traffic.bytes_received, 1_000);
+        assert_eq!(cm.traffic.retries, 1);
+    }
+
+    #[test]
+    fn connect_time_units() {
+        let mut cm = m();
+        cm.record_connect(SimTime::from_secs(1), SimDuration::from_micros(1_500));
+        cm.record_connect(SimTime::from_secs(1), SimDuration::from_micros(2_500));
+        assert_eq!(cm.traffic.connections_established, 2);
+        assert!(
+            (cm.mean_connect_ms() - 2.0).abs() < 0.05,
+            "{}",
+            cm.mean_connect_ms()
+        );
+    }
 }

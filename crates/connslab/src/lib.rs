@@ -381,4 +381,71 @@ mod tests {
         assert_eq!(s.get(a), Some(&1));
         assert_eq!(s.get(b), Some(&2));
     }
+
+    #[test]
+    fn freed_slots_are_reused_last_in_first_out() {
+        let mut s: Slab<u32> = Slab::new();
+        let hs: Vec<Handle> = (0..4).map(|v| s.insert(v)).collect();
+        s.remove(hs[1]);
+        s.remove(hs[3]);
+        assert_eq!(s.insert(10).index(), 3, "most recently freed first");
+        assert_eq!(s.insert(11).index(), 1);
+        assert_eq!(s.insert(12).index(), 4, "then a fresh slot");
+        assert_eq!(s.capacity(), 5);
+    }
+
+    #[test]
+    fn insert_with_sees_its_own_handle() {
+        let mut s: Slab<Handle> = Slab::new();
+        let a = s.insert_with(|h| h);
+        s.remove(a);
+        let b = s.insert_with(|h| h);
+        assert_eq!(s.get(b), Some(&b));
+        assert_eq!(b.index(), a.index());
+        assert_ne!(b, a);
+    }
+
+    #[test]
+    fn stale_handles_neither_mutate_nor_remove() {
+        let mut s: Slab<u32> = Slab::new();
+        let old = s.insert(1);
+        s.remove(old);
+        let new = s.insert(2);
+        assert_eq!(new.index(), old.index());
+        assert!(s.get_mut(old).is_none());
+        assert_eq!(s.remove(old), None);
+        assert!(!s.contains(old));
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(new), Some(&2));
+    }
+
+    #[test]
+    fn retained_out_entries_free_their_slots() {
+        let mut s: Slab<u32> = Slab::with_capacity(8);
+        assert!(s.is_empty());
+        assert_eq!(s.capacity(), 0, "reserving is not materialising");
+        let hs: Vec<Handle> = (0..6).map(|v| s.insert(v)).collect();
+        s.retain(|_, v| *v >= 3);
+        assert!(hs[..3].iter().all(|&h| !s.contains(h)));
+        assert_eq!(s.len(), 3);
+        for v in 0..3 {
+            assert!(s.insert(100 + v).index() < 3, "freed slots come back");
+        }
+        assert_eq!(s.capacity(), 6);
+    }
+
+    #[test]
+    fn iter_mut_edits_live_entries_in_place() {
+        let mut s: Slab<u32> = Slab::default();
+        let a = s.insert(1);
+        let b = s.insert(2);
+        let gone = s.insert(3);
+        s.remove(gone);
+        for (_, v) in s.iter_mut() {
+            *v *= 10;
+        }
+        assert_eq!(s.get(a), Some(&10));
+        assert_eq!(s.get(b), Some(&20));
+        assert_eq!(s.iter_mut().count(), 2);
+    }
 }

@@ -352,4 +352,55 @@ mod tests {
             SimTime::MAX
         );
     }
+
+    #[test]
+    fn from_secs_f64_rounds_to_the_nearest_nanosecond() {
+        assert_eq!(
+            SimDuration::from_secs_f64(1.4e-9),
+            SimDuration::from_nanos(1)
+        );
+        assert_eq!(
+            SimDuration::from_secs_f64(1.6e-9),
+            SimDuration::from_nanos(2)
+        );
+        assert_eq!(SimDuration::from_secs_f64(0.0), SimDuration::ZERO);
+        assert!(SimDuration::from_secs_f64(0.0).is_zero());
+    }
+
+    #[test]
+    fn duration_saturating_ops_clamp() {
+        let one = SimDuration::from_secs(1);
+        assert_eq!(
+            one.saturating_sub(SimDuration::from_secs(2)),
+            SimDuration::ZERO
+        );
+        assert_eq!(SimDuration::MAX.saturating_add(one), SimDuration::MAX);
+        assert_eq!(
+            one.mul_f64(-3.0),
+            SimDuration::ZERO,
+            "negative factor clamps"
+        );
+        assert_eq!(one.mul_f64(1e30), SimDuration::MAX);
+    }
+
+    #[test]
+    fn assign_operators_match_binary_ones() {
+        let mut t = SimTime::from_millis(5);
+        t += SimDuration::from_millis(7);
+        assert_eq!(t, SimTime::from_millis(12));
+        let mut d = SimDuration::from_millis(9);
+        d += SimDuration::from_millis(3);
+        d -= SimDuration::from_millis(2);
+        assert_eq!(d, SimDuration::from_millis(10));
+        assert_eq!(d.as_millis_f64(), 10.0);
+        assert_eq!(t.as_millis_f64(), 12.0);
+    }
+
+    #[test]
+    fn sim_time_displays_as_its_offset_from_zero() {
+        assert_eq!(SimTime::from_millis(1_500).to_string(), "1.500s");
+        assert_eq!(SimTime::ZERO.to_string(), "0ns");
+        assert_eq!(SimDuration::from_nanos(999).to_string(), "999ns");
+        assert_eq!(SimDuration::from_nanos(1_000).to_string(), "1.000us");
+    }
 }

@@ -200,6 +200,107 @@ mod tests {
         );
     }
 
+    #[test]
+    fn accept_mode_labels_parse_back() {
+        assert_eq!(AcceptMode::default(), AcceptMode::Handoff);
+        for m in [AcceptMode::Handoff, AcceptMode::Sharded] {
+            assert_eq!(AcceptMode::parse(m.label()), Some(m));
+            assert_eq!(AcceptMode::parse(&m.label().to_uppercase()), Some(m));
+        }
+        assert_eq!(AcceptMode::parse("\thandoff\n"), Some(AcceptMode::Handoff));
+        for bad in ["", "hand off", "shard", "sharded-x"] {
+            assert_eq!(AcceptMode::parse(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn admission_is_active_with_either_knob() {
+        let refuse = AdmissionControl {
+            refuse_on_full: true,
+            shed_watermark: None,
+        };
+        let shed = AdmissionControl {
+            refuse_on_full: false,
+            shed_watermark: Some(0),
+        };
+        assert!(refuse.is_active());
+        assert!(shed.is_active(), "a zero watermark is still a watermark");
+    }
+
+    #[test]
+    fn zero_jitter_ignores_the_random_unit() {
+        let p = RetryPolicy {
+            jitter_frac: 0.0,
+            ..RetryPolicy::standard()
+        };
+        for attempt in 0..8 {
+            let want = p.backoff_ns(attempt, 0.0);
+            for unit in [0.25, 0.5, 0.999] {
+                assert_eq!(p.backoff_ns(attempt, unit), want, "attempt {attempt}");
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_fraction_is_clamped_to_unit_interval() {
+        let base = RetryPolicy {
+            max_retries: 1,
+            base_ns: 1_000,
+            cap_ns: 1_000_000,
+            jitter_frac: 1.0,
+        };
+        let over = RetryPolicy {
+            jitter_frac: 7.5,
+            ..base
+        };
+        let under = RetryPolicy {
+            jitter_frac: -3.0,
+            ..base
+        };
+        assert_eq!(over.backoff_ns(3, 0.5), base.backoff_ns(3, 0.5));
+        assert_eq!(
+            under.backoff_ns(3, 0.5),
+            8_000,
+            "negative jitter acts as none"
+        );
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_overflowing() {
+        let p = RetryPolicy {
+            max_retries: u32::MAX,
+            base_ns: u64::MAX / 2,
+            cap_ns: u64::MAX,
+            jitter_frac: 0.0,
+        };
+        assert_eq!(p.backoff_ns(0, 0.0), u64::MAX / 2);
+        assert_eq!(p.backoff_ns(1, 0.0), u64::MAX - 1);
+        assert_eq!(p.backoff_ns(u32::MAX, 0.0), u64::MAX);
+    }
+
+    #[test]
+    fn standard_policy_starts_at_base_and_reaches_cap() {
+        let p = RetryPolicy::standard();
+        assert_eq!(p.backoff_ns(0, 0.0), p.base_ns);
+        let capped = (0..p.max_retries + 8).find(|&a| p.backoff_ns(a, 0.0) == p.cap_ns);
+        assert_eq!(
+            capped,
+            Some(4),
+            "250 ms doubles to the 4 s cap at attempt 4"
+        );
+    }
+
+    #[test]
+    fn drain_report_totals_and_renders() {
+        let r = DrainReport {
+            drained: 7,
+            aborted: 2,
+        };
+        assert_eq!(r.total(), 9);
+        assert_eq!(r.render(), "drained 7 aborted 2");
+        assert_eq!(DrainReport::default().total(), 0);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]

@@ -350,6 +350,60 @@ mod tests {
         assert!(c.sharded_accept_service(4) < c.event_accept_service(4));
         assert!(c.sharded_accept_service(4) > SimDuration::ZERO);
     }
+
+    /// The service functions truncate to whole nanoseconds, so a cost is
+    /// checked to within one.
+    fn assert_us(got: SimDuration, want_us: f64) {
+        let want = want_us * 1_000.0;
+        assert!(
+            (got.as_nanos() as f64 - want).abs() < 1.01,
+            "{got:?} vs {want_us} µs"
+        );
+    }
+
+    #[test]
+    fn threaded_request_cost_on_uniprocessor_is_the_plain_sum() {
+        // parse 60 + 1 KiB × 25 + two context switches × 8, no pool, 1 CPU.
+        let c = CpuCosts::default();
+        assert_us(c.threaded_request_service(1024, 0, 1), 101.0);
+    }
+
+    #[test]
+    fn event_request_split_on_uniprocessor() {
+        // (60 + 25) × 1.15 + 10 = 107.75 µs, 40 % of it on the worker lane.
+        let c = CpuCosts::default();
+        let s = c.event_request_service(1024, 1, 1);
+        assert_us(s.worker, 43.1);
+        assert_us(s.kernel, 64.65);
+    }
+
+    #[test]
+    fn worker_sync_penalty_spares_the_kernel_share() {
+        let c = CpuCosts::default();
+        let one = c.event_request_service(4096, 1, 4);
+        let many = c.event_request_service(4096, 8, 4);
+        assert_eq!(one.kernel, many.kernel);
+        // 1 + 0.08 × 7 + 0.02 × 49 = 2.54
+        let ratio = many.worker.as_nanos() as f64 / one.worker.as_nanos() as f64;
+        assert!((ratio - 2.54).abs() < 1e-3, "{ratio}");
+    }
+
+    #[test]
+    fn uniprocessor_accept_costs() {
+        let c = CpuCosts::default();
+        assert_us(c.threaded_accept_service(0, 1), 25.0);
+        assert_us(c.event_accept_service(1), 28.75);
+        assert_eq!(c.sharded_accept_service(1), c.event_accept_service(1));
+        assert_us(c.reject_service(1), 15.0);
+    }
+
+    #[test]
+    fn reject_cost_scales_with_smp_contention() {
+        let c = CpuCosts::default();
+        // 15 µs × (1 + 0.3 × 3)
+        assert_us(c.reject_service(4), 28.5);
+        assert!((c.smp_multiplier_pinned(4) - 1.405).abs() < 1e-9);
+    }
 }
 
 #[cfg(test)]

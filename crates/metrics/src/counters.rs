@@ -182,4 +182,54 @@ mod tests {
         assert_eq!(ClientError::ClientTimeout.name(), "client_timeout");
         assert_eq!(ClientError::ConnectionReset.to_string(), "connection_reset");
     }
+
+    #[test]
+    fn every_kind_has_a_distinct_name() {
+        let mut names: Vec<&str> = ClientError::ALL.iter().map(|k| k.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), ClientError::ALL.len());
+        for kind in ClientError::ALL {
+            assert_eq!(kind.to_string(), kind.name());
+        }
+    }
+
+    #[test]
+    fn traffic_merge_covers_every_field() {
+        let one = TrafficCounters {
+            connections_established: 1,
+            requests_sent: 1,
+            replies_received: 1,
+            sessions_completed: 1,
+            sessions_aborted: 1,
+            bytes_received: 1,
+            bytes_sent: 1,
+            retries: 1,
+        };
+        let mut sum = one;
+        sum.merge(&one);
+        let TrafficCounters {
+            connections_established,
+            requests_sent,
+            replies_received,
+            sessions_completed,
+            sessions_aborted,
+            bytes_received,
+            bytes_sent,
+            retries,
+        } = sum;
+        assert_eq!(
+            [
+                connections_established,
+                requests_sent,
+                replies_received,
+                sessions_completed,
+                sessions_aborted,
+                bytes_received,
+                bytes_sent,
+                retries
+            ],
+            [2; 8]
+        );
+    }
 }

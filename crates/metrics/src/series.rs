@@ -199,4 +199,47 @@ mod tests {
     fn zero_window_panics() {
         WindowedSeries::new(SimDuration::ZERO);
     }
+
+    #[test]
+    fn window_boundary_opens_the_next_window() {
+        let mut ws = WindowedSeries::new(SimDuration::from_secs(1));
+        ws.record_one(SimTime::from_nanos(999_999_999));
+        ws.record_one(sec(1));
+        assert_eq!(ws.rates_per_sec(), vec![1.0, 1.0]);
+    }
+
+    #[test]
+    fn sub_second_windows_report_per_second_rates() {
+        let mut ws = WindowedSeries::new(SimDuration::from_millis(250));
+        assert_eq!(ws.window(), SimDuration::from_millis(250));
+        ws.record_one(SimTime::from_millis(100));
+        ws.record_one(SimTime::from_millis(600));
+        ws.record_one(SimTime::from_millis(700));
+        assert_eq!(ws.rates_per_sec(), vec![4.0, 0.0, 8.0]);
+        assert!((ws.mean_rate() - 4.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rate_summary_covers_only_the_steady_windows() {
+        let mut ws = WindowedSeries::new(SimDuration::from_secs(1));
+        for (s, n) in [(0u64, 1), (1, 10), (2, 10), (3, 10), (4, 1)] {
+            for _ in 0..n {
+                ws.record_one(sec(s));
+            }
+        }
+        let body = ws.rate_summary(1, 1);
+        assert_eq!(body.count(), 3);
+        assert!((body.mean() - 10.0).abs() < 1e-12);
+        assert_eq!(ws.rate_summary(3, 3).count(), 5, "too short: every window");
+    }
+
+    #[test]
+    fn empty_series_is_zero_everywhere() {
+        let ws = WindowedSeries::new(SimDuration::from_secs(1));
+        assert!(ws.is_empty());
+        assert_eq!(ws.len(), 0);
+        assert_eq!(ws.mean_rate(), 0.0);
+        assert_eq!(ws.steady_rate(1, 1), 0.0);
+        assert_eq!(ws.stability_cv(0, 0), 0.0);
+    }
 }

@@ -159,6 +159,34 @@ mod tests {
     }
 
     #[test]
+    fn refused_connection_closes_without_establishing() {
+        let mut c = Connection::open(ConnId(4), SimTime::from_millis(3));
+        assert!(c.close(SimTime::from_millis(4), CloseKind::ServerRefused));
+        assert_eq!(c.connect_time(), None);
+        assert!(!c.is_established());
+        assert!(!c.send_would_reset(), "a refusal is not a reset");
+        assert_eq!(c.closed_at, Some(SimTime::from_millis(4)));
+    }
+
+    #[test]
+    fn client_close_first_masks_a_later_idle_timeout() {
+        let mut c = Connection::open(ConnId(5), SimTime::ZERO);
+        c.establish(SimTime::ZERO);
+        assert!(c.close(SimTime::from_secs(1), CloseKind::ClientAbort));
+        assert!(!c.close(SimTime::from_secs(15), CloseKind::ServerIdleTimeout));
+        assert!(!c.send_would_reset());
+        assert_eq!(c.closed_at, Some(SimTime::from_secs(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "establish()")]
+    fn establishing_a_closed_connection_panics() {
+        let mut c = Connection::open(ConnId(6), SimTime::ZERO);
+        c.close(SimTime::ZERO, CloseKind::ClientAbort);
+        c.establish(SimTime::ZERO);
+    }
+
+    #[test]
     fn connect_time_none_until_established() {
         let c = Connection::open(ConnId(1), SimTime::from_secs(1));
         assert_eq!(c.connect_time(), None);

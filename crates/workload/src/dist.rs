@@ -432,4 +432,37 @@ mod tests {
             assert_eq!(d.sample(&mut a), d.sample(&mut b));
         }
     }
+
+    #[test]
+    fn pareto_mean_is_infinite_at_or_below_alpha_one() {
+        assert_eq!(Pareto::new(1.0, 1.0).mean(), None);
+        assert_eq!(Pareto::new(1.0, 0.8).mean(), None);
+        let m = Pareto::new(2.0, 3.0).mean().expect("finite for alpha > 1");
+        assert!((m - 3.0).abs() < 1e-12, "{m}");
+    }
+
+    #[test]
+    fn zipf_pmf_sums_to_one_and_decreases() {
+        let z = Zipf::new(50, 0.9);
+        assert_eq!(z.n(), 50);
+        let total: f64 = (0..z.n()).map(|r| z.pmf(r)).sum();
+        assert!((total - 1.0).abs() < 1e-12, "{total}");
+        for r in 1..z.n() {
+            assert!(z.pmf(r) < z.pmf(r - 1), "rank {r}");
+        }
+    }
+
+    #[test]
+    fn exponential_samples_are_positive() {
+        let d = Exponential::with_mean(0.25);
+        assert_eq!(d.mean(), Some(0.25));
+        let mut rng = Rng::new(5);
+        assert!((0..10_000).all(|_| d.sample(&mut rng) > 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf over empty support")]
+    fn zipf_rejects_empty_support() {
+        Zipf::new(0, 1.0);
+    }
 }

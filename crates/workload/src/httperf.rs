@@ -92,4 +92,49 @@ mod tests {
         let b = inv.render();
         assert_ne!(a, b, "think parameters must change the command line");
     }
+
+    fn invocation() -> HttperfInvocation {
+        HttperfInvocation {
+            server: "10.0.0.1".into(),
+            port: 8080,
+            clients: 3,
+            session: SessionConfig::default(),
+            timeout_secs: 10.0,
+            duration_secs: 60,
+        }
+    }
+
+    #[test]
+    fn period_is_the_reciprocal_of_the_mean_think_time() {
+        let inv = invocation();
+        let s = &inv.session;
+        let think =
+            crate::dist::BoundedPareto::new(s.think_k_secs, s.think_cap_secs, s.think_alpha);
+        let mean = crate::dist::Distribution::mean(&think).expect("bounded mean");
+        let cmd = inv.render();
+        assert!(
+            cmd.contains(&format!("--period e{:.3}", 1.0 / mean)),
+            "{cmd}"
+        );
+        assert!(cmd.contains(&format!("--wsess 3,6.5,{mean:.1}")), "{cmd}");
+    }
+
+    #[test]
+    fn timeout_and_burst_follow_the_config() {
+        let mut inv = invocation();
+        inv.timeout_secs = 2.6;
+        inv.session.max_burst = 3;
+        let cmd = inv.render();
+        assert!(cmd.contains("--timeout 3 "), "{cmd}");
+        assert!(cmd.contains("--burst-length 3 "), "{cmd}");
+        assert!(cmd.starts_with("httperf --hog --server 10.0.0.1 --port 8080 "));
+    }
+
+    #[test]
+    fn one_connection_per_session_and_replies_printed() {
+        let cmd = invocation().render();
+        assert!(cmd.contains("--max-connections 1"), "{cmd}");
+        assert!(cmd.ends_with("--print-reply"), "{cmd}");
+        assert!(!cmd.contains("  "), "no doubled separators: {cmd}");
+    }
 }

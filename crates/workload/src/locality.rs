@@ -192,4 +192,30 @@ mod tests {
         let files = fileset(9);
         LocalityModel::with_params(&files, 1.5, 1.8, 1.5);
     }
+
+    #[test]
+    fn stack_starts_in_popularity_order() {
+        let files = fileset(10);
+        let m = LocalityModel::new(&files);
+        assert!(!m.is_empty());
+        for rank in [0u32, 1, 42, files.len() as u32 - 1] {
+            assert_eq!(m.position(FileId(rank)), Some(rank as usize));
+        }
+        assert_eq!(m.position(FileId(files.len() as u32)), None);
+    }
+
+    #[test]
+    fn stack_keeps_every_document_exactly_once() {
+        let files = fileset(11);
+        let mut m = LocalityModel::new(&files);
+        let mut rng = Rng::new(12);
+        for _ in 0..2_000 {
+            m.sample(&files, &mut rng);
+        }
+        let mut seen: Vec<usize> = (0..files.len() as u32)
+            .map(|f| m.position(FileId(f)).expect("tracked"))
+            .collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..files.len()).collect::<Vec<_>>());
+    }
 }
